@@ -3,7 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
-use nimblock_ser::impl_json_struct;
+use nimblock_ser::{field_from_json, impl_to_json_struct, FromJson, Json, JsonError};
 
 use nimblock_sim::SimDuration;
 
@@ -216,7 +216,27 @@ pub struct TaskGraph {
     levels: Vec<u32>,
 }
 
-impl_json_struct!(TaskGraph { tasks, edges, preds, succs, topo, levels });
+// The derived fields are written for readers of the file, but decoding
+// rebuilds them from `tasks` and `edges`: a file cannot hand the
+// estimator a cyclic graph or a `topo` that is not topological.
+impl_to_json_struct!(TaskGraph { tasks, edges, preds, succs, topo, levels });
+
+impl FromJson for TaskGraph {
+    fn from_json(v: &Json) -> Result<Self, JsonError> {
+        let pairs = v
+            .as_object()
+            .ok_or_else(|| JsonError::expected("object for TaskGraph", v))?;
+        let invalid = |e: GraphError| JsonError::new(format!("invalid task graph: {e}"));
+        let mut builder = TaskGraphBuilder::new();
+        for task in field_from_json::<Vec<TaskSpec>>(pairs, "tasks")? {
+            builder.add_task(task);
+        }
+        for (from, to) in field_from_json::<Vec<(TaskId, TaskId)>>(pairs, "edges")? {
+            builder.add_edge(from, to).map_err(invalid)?;
+        }
+        builder.build().map_err(invalid)
+    }
+}
 
 impl TaskGraph {
     fn from_parts(

@@ -1287,6 +1287,22 @@ mod tests {
     }
 
     #[test]
+    fn zero_batch_input_is_a_clean_error() {
+        let dir = std::env::temp_dir().join("nimblock-cli-zero-batch-test");
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("stimulus.json");
+        let path = path.to_str().unwrap();
+        run_line(&format!("generate --batch 2 --delay-ms 100 --events 2 --output {path}"));
+        let text = fs::read_to_string(path).unwrap();
+        let edited = text.replacen("\"batch_size\": 2", "\"batch_size\": 0", 1);
+        assert_ne!(edited, text, "the generated file carries a batch size of 2");
+        fs::write(path, edited).unwrap();
+        let command = parse(&argv(&format!("run --scheduler nimblock --input {path}"))).unwrap();
+        let err = execute(&command, &mut Vec::new()).unwrap_err();
+        assert!(err.to_string().contains("batch_size"), "{err}");
+    }
+
+    #[test]
     fn missing_input_file_is_a_clean_error() {
         let command = parse(&argv("run --input /nonexistent/st.json")).unwrap();
         let mut out = Vec::new();

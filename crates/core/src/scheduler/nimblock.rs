@@ -1,7 +1,9 @@
 //! The Nimblock scheduling algorithm (paper §4).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
+use nimblock_app::TaskGraph;
 use nimblock_ilp::{saturation, EstimatorConfig, PipelineEstimator};
 use nimblock_obs::nb_debug;
 
@@ -110,9 +112,11 @@ pub struct NimblockScheduler {
     config: NimblockConfig,
     bank: TokenBank,
     goals: BTreeMap<AppId, usize>,
-    /// Saturation analyses are deterministic per (benchmark, batch, slots);
-    /// cache them as the paper caches its offline Gurobi results.
-    goal_cache: HashMap<(String, u32, usize), usize>,
+    /// Goal numbers are deterministic per (task graph, batch, slots); cache
+    /// them as the paper caches its offline Gurobi results. Entries hold
+    /// the graph itself, not the app name, so two different graphs under
+    /// one name never share a goal.
+    goal_cache: Vec<(Arc<TaskGraph>, u32, usize, usize)>,
     preemptions_issued: u64,
     metrics: SchedMetrics,
     /// Reusable per-decision buffers: the candidate pool and the slot
@@ -141,7 +145,7 @@ impl NimblockScheduler {
             config,
             bank: TokenBank::new(config.alpha),
             goals: BTreeMap::new(),
-            goal_cache: HashMap::new(),
+            goal_cache: Vec::new(),
             preemptions_issued: 0,
             metrics: SchedMetrics::detached(),
             candidate_buf: Vec::new(),
@@ -162,36 +166,33 @@ impl NimblockScheduler {
     /// Computes (or recalls) the goal number for an admitted application.
     fn goal_number(&mut self, view: &SchedView<'_>, app: AppId) -> usize {
         let runtime = view.app(app).expect("admitting app is live");
-        let name = runtime.spec().name();
+        let graph = runtime.spec().graph();
         let batch = runtime.batch_size();
         let slots = view.slot_count();
-        // Borrowed scan instead of a keyed lookup so the cache-hit path
-        // (every arrival after the first per workload shape) builds no
-        // owned key. The cache holds one entry per distinct
-        // (name, batch, slots) combination — a handful.
-        if let Some(&goal) = self
-            .goal_cache
-            .iter()
-            .find_map(|((n, b, s), g)| (n == name && *b == batch && *s == slots).then_some(g))
-        {
+        // Apps of one workload share their graph's `Arc`, so the pointer
+        // test settles almost every hit; structural equality catches equal
+        // graphs loaded separately. The cache holds one entry per distinct
+        // (graph, batch, slots) combination — a handful.
+        if let Some(&(.., goal)) = self.goal_cache.iter().find(|(g, b, s, _)| {
+            *b == batch && *s == slots && (std::ptr::eq(Arc::as_ptr(g), graph) || **g == *graph)
+        }) {
             return goal;
         }
         let estimator = PipelineEstimator::new(EstimatorConfig {
             reconfig: view.reconfig_latency,
             pipelining: self.config.pipelining,
         });
-        let goal = saturation::analyze_with(
+        let goal = saturation::goal_number(
             &estimator,
-            runtime.spec(),
+            graph,
             batch,
             slots,
             self.config.improvement_threshold,
-        )
-        .goal_number();
+        );
         // First sight of this workload shape: the one-time saturation
-        // analysis dwarfs the key allocation.
+        // analysis dwarfs the entry allocation.
         // nimblock: allow(hot-path-no-alloc) cache-miss path only
-        self.goal_cache.insert((name.to_owned(), batch, slots), goal);
+        self.goal_cache.push((runtime.spec().graph_arc(), batch, slots, goal));
         goal
     }
 
@@ -421,6 +422,62 @@ mod tests {
             NimblockScheduler::with_config(NimblockConfig::no_preemption_no_pipelining()).name(),
             "NimblockNoPreemptNoPipe"
         );
+    }
+
+    #[test]
+    fn goal_cache_tells_same_named_graphs_apart() {
+        use crate::view::SlotBinding;
+        use crate::{AppArena, AppRuntime};
+        use nimblock_app::AppSpec;
+        use nimblock_fpga::{BitstreamId, Interconnect, Resources, SlotId, SlotState};
+        use nimblock_sim::SimDuration;
+
+        // A custom app that reuses the name "LeNet" for AlexNet's graph.
+        let lenet = Arc::new(benchmarks::lenet());
+        let impostor = Arc::new(AppSpec::new("LeNet", benchmarks::alexnet().graph().clone()));
+        let mut apps = AppArena::new();
+        for (raw, spec) in [lenet, Arc::clone(&impostor)].into_iter().enumerate() {
+            let tasks = spec.graph().task_count() as u64;
+            apps.insert(AppRuntime::new(
+                AppId::new(raw as u64),
+                raw,
+                spec,
+                10,
+                Priority::Low,
+                SimTime::ZERO,
+                (0..tasks).map(BitstreamId::new).collect(),
+            ));
+        }
+        let slots: Vec<SlotBinding> = (0..10)
+            .map(|i| SlotBinding {
+                slot: SlotId::new(i),
+                state: SlotState::Empty,
+                bound: None,
+                resources: Resources::ZERO,
+            })
+            .collect();
+        let view = SchedView {
+            now: SimTime::ZERO,
+            apps: &apps,
+            slots: &slots,
+            reconfig_latency: SimDuration::from_millis(80),
+            interconnect: Interconnect::zcu106_default(),
+        };
+        let mut scheduler = NimblockScheduler::new();
+        scheduler.on_arrival(&view, AppId::new(0));
+        scheduler.on_arrival(&view, AppId::new(1));
+
+        let estimator = PipelineEstimator::new(EstimatorConfig {
+            reconfig: SimDuration::from_millis(80),
+            pipelining: true,
+        });
+        let goal_of = |spec: &AppSpec| {
+            saturation::analyze_with(&estimator, spec, 10, 10, saturation::DEFAULT_IMPROVEMENT_THRESHOLD)
+                .goal_number()
+        };
+        let own = goal_of(&impostor);
+        assert_ne!(own, goal_of(&benchmarks::lenet()), "the two graphs must saturate apart");
+        assert_eq!(scheduler.goals[&AppId::new(1)], own);
     }
 
     #[test]

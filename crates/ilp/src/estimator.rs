@@ -1,9 +1,7 @@
 //! Fast list-scheduled makespan estimation.
 
-use std::collections::BTreeSet;
-
 use nimblock_app::{TaskGraph, TaskId};
-use nimblock_sim::{EventQueue, SimDuration, SimTime};
+use nimblock_sim::{SimDuration, SimTime};
 
 /// Configuration of a [`PipelineEstimator`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,157 +83,77 @@ impl PipelineEstimator {
         assert!(slots > 0, "need at least one slot");
         assert!(batch > 0, "need at least one batch item");
         let n = graph.task_count();
-        let batch = batch as usize;
+        let topo = graph.topological_order();
 
-        // Per-task progress.
-        let mut item_done_at: Vec<Vec<SimTime>> = vec![Vec::with_capacity(batch); n];
-        let mut configured = vec![false; n];
-        let mut running = vec![false; n]; // currently processing an item
-        let mut finished = vec![false; n]; // all items done, slot released
-        let mut reconfiguring = vec![false; n];
-
+        // Items each task has finished.
+        let mut done = vec![0u32; n];
+        // Configured tasks with no item in flight and items left, in
+        // task-id order. Each holds a slot, so there are at most `slots`.
+        let mut idle: Vec<TaskId> = Vec::with_capacity(slots.min(n));
+        // Every pending event holds a slot too (a reconfiguration in
+        // progress, or an item on a configured task). They are kept in push
+        // order and pop by time, earliest pushed first among equal times.
+        let mut pending: Vec<(SimTime, Event)> = Vec::with_capacity(slots.min(n));
         let mut free_slots = slots;
         let mut cap_free_at = SimTime::ZERO;
-        // Tasks not yet configured, in topological order.
-        let mut unconfigured: Vec<TaskId> = graph.topological_order().to_vec();
-        let mut queue: EventQueue<Event> = EventQueue::new();
+        // Tasks configure in topological order. When `topo[next]` is due,
+        // every task before it has started, hence so have all its
+        // predecessors, so reconfiguration overlaps upstream compute.
+        let mut next = 0;
         let mut now = SimTime::ZERO;
-        let mut makespan = SimTime::ZERO;
-        // Deterministic set of tasks that might be able to launch an item.
-        let mut launch_candidates: BTreeSet<TaskId> = BTreeSet::new();
-
-        // Dispatch: start reconfigs and item launches that have become legal.
-        // Returns scheduled events through `queue`.
-        let dispatch = |now: SimTime,
-                        queue: &mut EventQueue<Event>,
-                        unconfigured: &mut Vec<TaskId>,
-                        free_slots: &mut usize,
-                        cap_free_at: &mut SimTime,
-                        configured: &[bool],
-                        reconfiguring: &mut [bool],
-                        running: &mut [bool],
-                        finished: &[bool],
-                        item_done_at: &[Vec<SimTime>],
-                        launch_candidates: &mut BTreeSet<TaskId>,
-                        graph: &TaskGraph,
-                        pipelining: bool,
-                        reconfig: SimDuration| {
-            // 1. Configure the next topo-order task whose predecessors are
-            //    all configured or finished (so reconfiguration overlaps
-            //    upstream compute), while slots and the CAP allow.
-            while *free_slots > 0 {
-                let next = unconfigured
-                    .iter()
-                    .position(|&t| {
-                        graph
-                            .predecessors(t)
-                            .iter()
-                            .all(|&p| configured[p.index()] || finished[p.index()] || reconfiguring[p.index()])
-                    });
-                let Some(pos) = next else { break };
-                let task = unconfigured.remove(pos);
-                *free_slots -= 1;
-                reconfiguring[task.index()] = true;
-                let start = now.max(*cap_free_at);
-                let done = start + reconfig;
-                *cap_free_at = done;
-                queue.push(done, Event::ReconfigDone(task));
+        loop {
+            // Configure the next tasks while slots allow; reconfigurations
+            // serialize on the CAP.
+            while free_slots > 0 && next < n {
+                free_slots -= 1;
+                cap_free_at = now.max(cap_free_at) + self.config.reconfig;
+                pending.push((cap_free_at, Event::ReconfigDone(topo[next])));
+                next += 1;
             }
-            // 2. Launch items on idle configured tasks whose dependency for
-            //    the next item is satisfied.
-            let candidates: Vec<TaskId> = launch_candidates.iter().copied().collect();
-            for task in candidates {
-                let t = task.index();
-                if !configured[t] || running[t] || finished[t] {
-                    launch_candidates.remove(&task);
-                    continue;
-                }
-                let next_item = item_done_at[t].len();
-                let deps_ok = graph.predecessors(task).iter().all(|&p| {
-                    let done = item_done_at[p.index()].len();
-                    if pipelining {
-                        done > next_item
+            // Launch an item on every idle task whose dependency for its
+            // next item is satisfied, in task-id order.
+            idle.retain(|&task| {
+                let own = done[task.index()];
+                let ready = graph.predecessors(task).iter().all(|&p| {
+                    let upstream = done[p.index()];
+                    if self.config.pipelining {
+                        upstream > own
                     } else {
-                        done == batch
+                        upstream == batch
                     }
                 });
-                if deps_ok {
-                    running[t] = true;
-                    let latency = graph.task(task).latency();
-                    queue.push(now + latency, Event::ItemDone(task));
-                    launch_candidates.remove(&task);
+                if ready {
+                    pending.push((now + graph.task(task).latency(), Event::ItemDone(task)));
                 }
-            }
-        };
-
-        // Seed.
-        dispatch(
-            now,
-            &mut queue,
-            &mut unconfigured,
-            &mut free_slots,
-            &mut cap_free_at,
-            &configured,
-            &mut reconfiguring,
-            &mut running,
-            &finished,
-            &item_done_at,
-            &mut launch_candidates,
-            graph,
-            self.config.pipelining,
-            self.config.reconfig,
-        );
-
-        while let Some((at, event)) = queue.pop() {
+                !ready
+            });
+            let Some(first) = (0..pending.len()).min_by_key(|&i| pending[i].0) else {
+                break;
+            };
+            let (at, event) = pending.remove(first);
             now = at;
-            match event {
-                Event::ReconfigDone(task) => {
-                    let t = task.index();
-                    reconfiguring[t] = false;
-                    configured[t] = true;
-                    launch_candidates.insert(task);
-                }
+            let task = match event {
+                Event::ReconfigDone(task) => task,
                 Event::ItemDone(task) => {
-                    let t = task.index();
-                    running[t] = false;
-                    item_done_at[t].push(now);
-                    makespan = makespan.max(now);
-                    if item_done_at[t].len() == batch {
-                        finished[t] = true;
-                        configured[t] = false;
+                    done[task.index()] += 1;
+                    if done[task.index()] == batch {
                         free_slots += 1;
-                    } else {
-                        launch_candidates.insert(task);
+                        continue;
                     }
-                    // A completed item may unblock successors.
-                    for &succ in graph.successors(task) {
-                        launch_candidates.insert(succ);
-                    }
+                    task
                 }
-            }
-            dispatch(
-                now,
-                &mut queue,
-                &mut unconfigured,
-                &mut free_slots,
-                &mut cap_free_at,
-                &configured,
-                &mut reconfiguring,
-                &mut running,
-                &finished,
-                &item_done_at,
-                &mut launch_candidates,
-                graph,
-                self.config.pipelining,
-                self.config.reconfig,
-            );
+            };
+            let at = idle.partition_point(|&t| t < task);
+            idle.insert(at, task);
         }
 
         debug_assert!(
-            finished.iter().all(|&f| f),
-            "estimator drained its queue with unfinished tasks — scheduling deadlock"
+            done.iter().all(|&d| d == batch),
+            "estimator ran out of events with unfinished tasks — scheduling deadlock"
         );
-        makespan.elapsed()
+        // The last event is always an item completion: a configured task
+        // still has its whole batch to run.
+        now.elapsed()
     }
 }
 

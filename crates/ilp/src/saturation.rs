@@ -8,7 +8,7 @@
 
 use nimblock_ser::impl_json_struct;
 
-use nimblock_app::AppSpec;
+use nimblock_app::{AppSpec, TaskGraph};
 use nimblock_sim::SimDuration;
 
 use crate::{EstimatorConfig, IlpError, PipelineEstimator, Problem, Relation, Sense};
@@ -114,15 +114,10 @@ pub fn analyze_with(
     max_slots: usize,
     threshold: f64,
 ) -> SaturationAnalysis {
-    assert!(max_slots > 0, "need at least one slot");
-    assert!(
-        threshold > 0.0 && threshold < 1.0,
-        "threshold must be a fraction in (0, 1)"
-    );
     let makespans: Vec<SimDuration> = (1..=max_slots)
         .map(|k| estimator.makespan(app.graph(), batch_size, k))
         .collect();
-    let goal_number = knee(&makespans, threshold);
+    let goal_number = knee(max_slots, threshold, |k| makespans[k - 1]);
     SaturationAnalysis {
         app_name: app.name().to_owned(),
         batch_size,
@@ -131,18 +126,58 @@ pub fn analyze_with(
     }
 }
 
-/// Returns the saturation point of a makespan curve: the smallest slot
-/// count whose successor improves the makespan by less than `threshold`
-/// (fractionally). A curve that keeps improving saturates at its end.
-fn knee(makespans: &[SimDuration], threshold: f64) -> usize {
-    for k in 0..makespans.len() - 1 {
-        let current = makespans[k].as_micros() as f64;
-        let next = makespans[k + 1].as_micros() as f64;
+/// Returns the goal number [`analyze_with`] would report, estimating the
+/// makespan curve one slot count at a time and stopping at the knee, so
+/// slot counts past it are never estimated.
+///
+/// # Panics
+///
+/// Panics if `max_slots` or `batch_size` is zero, or if `threshold` is not
+/// in `(0, 1)`.
+///
+/// # Example
+///
+/// ```
+/// use nimblock_app::benchmarks;
+/// use nimblock_ilp::{saturation, PipelineEstimator};
+///
+/// let estimator = PipelineEstimator::default();
+/// let app = benchmarks::lenet();
+/// let full = saturation::analyze_with(&estimator, &app, 8, 10, 0.05);
+/// assert_eq!(
+///     saturation::goal_number(&estimator, app.graph(), 8, 10, 0.05),
+///     full.goal_number()
+/// );
+/// ```
+pub fn goal_number(
+    estimator: &PipelineEstimator,
+    graph: &TaskGraph,
+    batch_size: u32,
+    max_slots: usize,
+    threshold: f64,
+) -> usize {
+    knee(max_slots, threshold, |k| estimator.makespan(graph, batch_size, k))
+}
+
+/// Returns the saturation point of the makespan curve `makespan(1..=max_slots)`:
+/// the smallest slot count whose successor improves the makespan by less
+/// than `threshold` (fractionally). A curve that keeps improving saturates
+/// at its end. Evaluates the curve in order and no further than the knee.
+fn knee(max_slots: usize, threshold: f64, mut makespan: impl FnMut(usize) -> SimDuration) -> usize {
+    assert!(max_slots > 0, "need at least one slot");
+    assert!(
+        threshold > 0.0 && threshold < 1.0,
+        "threshold must be a fraction in (0, 1)"
+    );
+    let mut current = makespan(1).as_micros() as f64;
+    for k in 1..max_slots {
+        let next = makespan(k + 1).as_micros() as f64;
         if current - next < threshold * current {
-            return k + 1; // 1-based slot count
+            return k;
         }
+        current = next;
     }
-    makespans.len()
+    max_slots
 }
 
 /// Splits `total_slots` among applications to minimize the sum of their
@@ -212,13 +247,25 @@ mod tests {
 
     #[test]
     fn knee_detects_flat_tail() {
-        let curve = vec![
+        let curve = [
             SimDuration::from_millis(1000),
             SimDuration::from_millis(500),
             SimDuration::from_millis(490),
             SimDuration::from_millis(489),
         ];
-        assert_eq!(knee(&curve, 0.05), 2);
+        assert_eq!(knee(curve.len(), 0.05, |k| curve[k - 1]), 2);
+    }
+
+    #[test]
+    fn knee_stops_evaluating_at_the_knee() {
+        let curve = [1000, 500, 490, 489, 100].map(SimDuration::from_millis);
+        let mut evaluated = Vec::new();
+        let goal = knee(curve.len(), 0.05, |k| {
+            evaluated.push(k);
+            curve[k - 1]
+        });
+        assert_eq!(goal, 2);
+        assert_eq!(evaluated, [1, 2, 3]);
     }
 
     #[test]
@@ -226,7 +273,7 @@ mod tests {
         let curve: Vec<SimDuration> = (1..=4)
             .map(|k| SimDuration::from_millis(1000 / k))
             .collect();
-        assert_eq!(knee(&curve, 0.05), 4);
+        assert_eq!(knee(curve.len(), 0.05, |k| curve[k - 1]), 4);
     }
 
     #[test]

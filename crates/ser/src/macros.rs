@@ -2,7 +2,9 @@
 //!
 //! Four shapes cover every serialized type in the workspace:
 //!
-//! * [`impl_json_struct!`] — structs with named fields → JSON objects;
+//! * [`impl_json_struct!`] — structs with named fields → JSON objects
+//!   ([`impl_to_json_struct!`] is its encoding half, for types that decode
+//!   by hand);
 //! * [`impl_json_newtype!`] — single-field tuple structs → transparent
 //!   (encoded as the inner value, like serde newtypes);
 //! * [`impl_json_enum_units!`] — enums of unit variants → `"VariantName"`;
@@ -33,13 +35,7 @@
 #[macro_export]
 macro_rules! impl_json_struct {
     ($ty:ident { $($field:ident),+ $(,)? }) => {
-        impl $crate::ToJson for $ty {
-            fn to_json(&self) -> $crate::Json {
-                $crate::Json::Object(vec![
-                    $((stringify!($field).to_owned(), $crate::ToJson::to_json(&self.$field)),)+
-                ])
-            }
-        }
+        $crate::impl_to_json_struct!($ty { $($field),+ });
         impl $crate::FromJson for $ty {
             fn from_json(v: &$crate::Json) -> Result<Self, $crate::JsonError> {
                 let pairs = v
@@ -49,6 +45,34 @@ macro_rules! impl_json_struct {
                 Ok($ty {
                     $($field: $crate::field_from_json(pairs, stringify!($field))?,)+
                 })
+            }
+        }
+    };
+}
+
+/// Implements only [`ToJson`](crate::ToJson) for a struct with named
+/// fields, encoding it as [`impl_json_struct!`] does. For types whose
+/// decoding must validate or re-derive fields, with a hand-written
+/// [`FromJson`](crate::FromJson).
+///
+/// # Example
+///
+/// ```
+/// use nimblock_ser::{impl_to_json_struct, to_string};
+///
+/// struct Range { lo: u32, hi: u32 }
+/// impl_to_json_struct!(Range { lo, hi });
+///
+/// assert_eq!(to_string(&Range { lo: 1, hi: 2 }), r#"{"lo":1,"hi":2}"#);
+/// ```
+#[macro_export]
+macro_rules! impl_to_json_struct {
+    ($ty:ident { $($field:ident),+ $(,)? }) => {
+        impl $crate::ToJson for $ty {
+            fn to_json(&self) -> $crate::Json {
+                $crate::Json::Object(vec![
+                    $((stringify!($field).to_owned(), $crate::ToJson::to_json(&self.$field)),)+
+                ])
             }
         }
     };

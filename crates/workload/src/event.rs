@@ -2,7 +2,9 @@
 
 use std::sync::Arc;
 
-use nimblock_ser::impl_json_struct;
+use nimblock_ser::{
+    field_from_json, impl_json_struct, impl_to_json_struct, FromJson, Json, JsonError,
+};
 
 use nimblock_app::{AppSpec, Priority};
 use nimblock_sim::SimTime;
@@ -17,7 +19,25 @@ pub struct ArrivalEvent {
     arrival: SimTime,
 }
 
-impl_json_struct!(ArrivalEvent { app, batch_size, priority, arrival });
+impl_to_json_struct!(ArrivalEvent { app, batch_size, priority, arrival });
+
+impl FromJson for ArrivalEvent {
+    fn from_json(v: &Json) -> Result<Self, JsonError> {
+        let pairs = v
+            .as_object()
+            .ok_or_else(|| JsonError::expected("object for ArrivalEvent", v))?;
+        let batch_size = field_from_json(pairs, "batch_size")?;
+        if batch_size == 0 {
+            return Err(JsonError::new("field `batch_size`: must be at least 1"));
+        }
+        Ok(ArrivalEvent {
+            app: field_from_json(pairs, "app")?,
+            batch_size,
+            priority: field_from_json(pairs, "priority")?,
+            arrival: field_from_json(pairs, "arrival")?,
+        })
+    }
+}
 
 impl ArrivalEvent {
     /// Creates an arrival event.
@@ -173,5 +193,140 @@ mod tests {
             .collect();
         assert_eq!(seq.len(), 3);
         assert!(!seq.is_empty());
+    }
+
+    /// Stimulus files are untrusted input. Each one-field edit below turns
+    /// a generated stimulus into one the estimator or the hypervisor cannot
+    /// run; decoding must return an `Err` for it, never a value that panics
+    /// later. The stored derived graph fields (`preds`, `succs`, `topo`,
+    /// `levels`) are rebuilt from `tasks` and `edges`, so editing them
+    /// changes nothing.
+    mod untrusted_stimulus {
+        use crate::{generate, EventSequence, Scenario};
+        use nimblock_ser::{FromJson, Json, JsonError, ToJson};
+
+        fn field<'a>(value: &'a mut Json, key: &str) -> &'a mut Json {
+            match value {
+                Json::Object(pairs) => {
+                    &mut pairs
+                        .iter_mut()
+                        .find(|(k, _)| k == key)
+                        .unwrap_or_else(|| panic!("no field `{key}`"))
+                        .1
+                }
+                other => panic!("expected an object, found {}", other.type_name()),
+            }
+        }
+
+        fn array(value: &mut Json) -> &mut Vec<Json> {
+            match value {
+                Json::Array(items) => items,
+                other => panic!("expected an array, found {}", other.type_name()),
+            }
+        }
+
+        fn first_event(doc: &mut Json) -> &mut Json {
+            &mut array(field(doc, "events"))[0]
+        }
+
+        fn first_graph(doc: &mut Json) -> &mut Json {
+            field(field(first_event(doc), "app"), "graph")
+        }
+
+        fn stimulus() -> EventSequence {
+            generate(2023, 4, Scenario::Standard)
+        }
+
+        /// Decodes the generated stimulus after `edit` has changed it.
+        fn decode_edited(edit: impl FnOnce(&mut Json)) -> Result<EventSequence, JsonError> {
+            let mut doc = stimulus().to_json();
+            edit(&mut doc);
+            EventSequence::from_json(&doc)
+        }
+
+        /// Appends an edge, built from its first edge, to the first
+        /// arrival's graph.
+        fn add_edge(doc: &mut Json, make: impl FnOnce(u64, u64) -> (u64, u64)) {
+            let edges = array(field(first_graph(doc), "edges"));
+            let first = array(&mut edges[0]);
+            let (from, to) = (first[0].as_u64().unwrap(), first[1].as_u64().unwrap());
+            let (from, to) = make(from, to);
+            edges.push(Json::Array(vec![Json::U64(from), Json::U64(to)]));
+        }
+
+        fn assert_rejected(result: Result<EventSequence, JsonError>, needle: &str) {
+            match result {
+                Ok(_) => {
+                    panic!("an edited stimulus decoded; expected an error mentioning `{needle}`")
+                }
+                Err(e) => assert!(e.to_string().contains(needle), "{e}"),
+            }
+        }
+
+        #[test]
+        fn zero_batch_size_is_rejected() {
+            assert_rejected(
+                decode_edited(|doc| *field(first_event(doc), "batch_size") = Json::U64(0)),
+                "batch_size",
+            );
+        }
+
+        #[test]
+        fn a_graph_without_tasks_is_rejected() {
+            assert_rejected(
+                decode_edited(|doc| {
+                    let graph = first_graph(doc);
+                    array(field(graph, "tasks")).clear();
+                    array(field(graph, "edges")).clear();
+                }),
+                "no tasks",
+            );
+        }
+
+        #[test]
+        fn an_out_of_range_edge_is_rejected() {
+            assert_rejected(
+                decode_edited(|doc| add_edge(doc, |from, _| (from, 99))),
+                "never added",
+            );
+        }
+
+        #[test]
+        fn a_self_loop_is_rejected() {
+            assert_rejected(
+                decode_edited(|doc| add_edge(doc, |from, _| (from, from))),
+                "depends on itself",
+            );
+        }
+
+        #[test]
+        fn a_duplicate_edge_is_rejected() {
+            assert_rejected(
+                decode_edited(|doc| add_edge(doc, |from, to| (from, to))),
+                "added twice",
+            );
+        }
+
+        #[test]
+        fn a_cycle_is_rejected() {
+            assert_rejected(
+                decode_edited(|doc| add_edge(doc, |from, to| (to, from))),
+                "cycle",
+            );
+        }
+
+        #[test]
+        fn stored_derived_fields_are_rebuilt_not_trusted() {
+            // An out-of-range `topo` entry and `preds` that disagree with
+            // `edges` must not reach the estimator: decoding ignores both.
+            let decoded = decode_edited(|doc| {
+                let graph = first_graph(doc);
+                *field(graph, "topo") = Json::Array(vec![Json::U64(99)]);
+                for preds in array(field(graph, "preds")) {
+                    array(preds).clear();
+                }
+            });
+            assert_eq!(decoded.unwrap(), stimulus());
+        }
     }
 }

@@ -40,9 +40,11 @@
 #                   mismatch), and render in text, md, and json
 #   goldens         golden-drift: regenerate goldens, fail if they differ
 #                   from the committed files
-#   engine-diff     fixed-seed differential oracle: legacy heap vs calendar
+#   engine-diff     fixed-seed differential oracles: legacy heap vs calendar
 #                   event queue must be byte-identical (reports, traces,
-#                   telemetry) across policies, boards, and thread counts
+#                   telemetry) across policies, boards, and thread counts,
+#                   and the makespan estimator must match its queue-driven
+#                   reference on the fixed benchmark panel
 #   bench-gate      scripts/bench_gate.sh versus results/BENCH_cluster.json,
 #                   results/BENCH_engine.json, results/BENCH_faas.json, and
 #                   results/BENCH_plan.json
@@ -303,15 +305,20 @@ stage_goldens() {
 
 stage_engine_diff() {
     # The calendar-queue engine must be byte-identical to the retired
-    # binary-heap backend. The randomized sweeps run in workspace-test
-    # (replay a failure with the NIMBLOCK_CHECK_SEED they print); the
-    # fixed-seed panels re-run here so this stage is reproducible in
-    # isolation.
+    # binary-heap backend, and the slot-bounded makespan estimator must
+    # give the makespans of its queue-driven reference. The randomized
+    # sweeps run in workspace-test (replay a failure with the
+    # NIMBLOCK_CHECK_SEED they print); the fixed panels re-run here so this
+    # stage is reproducible in isolation.
     cargo test -q --offline \
         --test engine_differential -- \
         every_policy_matches_the_legacy_engine_on_fixed_seeds \
         cluster_runs_match_the_legacy_engine_for_one_two_and_eight_threads
     echo "ok: legacy and calendar engines are byte-identical"
+    cargo test -q --offline \
+        --test estimator_differential -- \
+        benchmark_panel_matches_the_queue_driven_reference
+    echo "ok: estimator matches its queue-driven reference on the benchmark panel"
 }
 
 stage_bench_gate() {
