@@ -528,6 +528,9 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                     other => parse_stimulus_flag(&mut stimulus, other, &mut stream)?,
                 }
             }
+            if slots == 0 {
+                return Err(err("--slots must be at least 1"));
+            }
             if trace_out.is_some() && trace_format.is_none() {
                 return Err(err("--trace-out requires --trace-format"));
             }
@@ -889,6 +892,9 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                     "--slots" => slots = parse_number(flag, stream.value_for(flag)?)?,
                     other => parse_stimulus_flag(&mut stimulus, other, &mut stream)?,
                 }
+            }
+            if slots == 0 {
+                return Err(err("--slots must be at least 1"));
             }
             Ok(Command::Compare(CompareArgs { stimulus, slots }))
         }

@@ -47,6 +47,34 @@ pub fn load_sequence(path: &str) -> Result<EventSequence, CliError> {
     nimblock_ser::from_str(&text).map_err(|e| CliError(format!("cannot parse {path}: {e}")))
 }
 
+/// Rejects a stimulus with a task that fits no slot of `config`. The
+/// hypervisor refuses such an application at admission, aborting the run,
+/// so the check runs when the stimulus is loaded and names the culprit.
+///
+/// # Errors
+///
+/// Returns a [`CliError`] naming the first such application and task.
+fn check_placeable(events: &EventSequence, config: &DeviceConfig) -> Result<(), CliError> {
+    let device = nimblock_fpga::Device::new(config.clone());
+    for (index, event) in events.iter().enumerate() {
+        for (task, spec) in event.app().graph().tasks() {
+            let fits = device
+                .slots()
+                .iter()
+                .any(|slot| spec.resources().fits_within(slot.resources()));
+            if !fits {
+                return Err(CliError(format!(
+                    "event {index}: application '{}' cannot run on this device: \
+                     {task} ('{}') fits no slot",
+                    event.app().name(),
+                    spec.name(),
+                )));
+            }
+        }
+    }
+    Ok(())
+}
+
 /// Best-effort text of a caught panic payload.
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(message) = payload.downcast_ref::<&str>() {
@@ -152,6 +180,7 @@ fn write_engine_trace(path: &str, trace: &[u8], out: &mut dyn Write) -> Result<(
 fn run_command(args: &RunArgs, out: &mut dyn Write) -> Result<(), CliError> {
     let events = make_sequence(&args.stimulus)?;
     let config = DeviceConfig::zcu106().with_slot_count(args.slots);
+    check_placeable(&events, &config)?;
     // With pre-loaded bitstreams (SD bandwidth 0) every reconfiguration takes
     // exactly the nominal CAP latency, so the invariant check can be exact.
     let exact_reconfig_latency = (config.sd_bandwidth_bytes_per_sec == 0)
@@ -343,6 +372,7 @@ fn generate_command(args: &GenerateArgs, out: &mut dyn Write) -> Result<(), CliE
 fn compare_command(args: &CompareArgs, out: &mut dyn Write) -> Result<(), CliError> {
     let events = make_sequence(&args.stimulus)?;
     let config = DeviceConfig::zcu106().with_slot_count(args.slots);
+    check_placeable(&events, &config)?;
     let baseline = Testbed::new(SchedulerKind::NoSharing.build())
         .with_device_config(config.clone())
         .run(&events);
@@ -631,6 +661,7 @@ fn faas_command(args: &FaasArgs, out: &mut dyn Write) -> Result<(), CliError> {
 fn cluster_command(args: &ClusterArgs, out: &mut dyn Write) -> Result<(), CliError> {
     use nimblock_cluster::ClusterTestbed;
     let events = make_sequence(&args.stimulus)?;
+    check_placeable(&events, &DeviceConfig::zcu106())?;
     let scheduler = args.scheduler;
     let factory = move || scheduler.build();
     if args.sweep_boards.is_some() && args.monitor.enabled() {

@@ -11,6 +11,7 @@ use nimblock_workload::ArrivalEvent;
 
 use nimblock_obs::{nb_debug, nb_info, nb_trace};
 
+use crate::tick_grid::TickGrid;
 use crate::trace::{Trace, TraceEvent};
 use crate::{
     AppArena, AppId, AppRuntime, HvMetrics, Reconfig, SchedView, Scheduler, SlotBinding, TaskPhase,
@@ -27,7 +28,18 @@ pub enum HvEvent {
     /// Arrival of stimulus event `index` (resolved against the stimulus the
     /// hypervisor was constructed with).
     Arrival(usize),
-    /// The periodic scheduling interval (400 ms on the evaluated system).
+    /// The periodic scheduling interval (400 ms on the evaluated system):
+    /// a scheduling point with no state change of its own.
+    ///
+    /// The caller seeds the first tick at one interval past zero; the
+    /// hypervisor then keeps the grid of multiples of the interval, but
+    /// queues a tick only at the first grid instant where one can act —
+    /// where [`Scheduler::next_decision_change`] says a consult may do
+    /// something new, while a launch is stalled on buffer memory (each
+    /// retry counts as an alloc stall), or where the run ends (every run
+    /// ends on a tick). Each queued tick pops in the place among
+    /// same-instant events that it would hold if a tick were queued every
+    /// interval, so skipping the rest changes nothing but the event count.
     Tick,
     /// The configuration port finished reconfiguring `slot`.
     ReconfigDone {
@@ -70,7 +82,10 @@ pub struct Hypervisor<S> {
     /// through a registry via [`Hypervisor::with_metrics`].
     metrics: HvMetrics,
     interconnect: nimblock_fpga::Interconnect,
-    tick_interval: nimblock_sim::SimDuration,
+    ticks: TickGrid,
+    /// Set when the last launch pass deferred a launch for lack of buffer
+    /// memory; every later tick retries it until an event changes state.
+    launch_stalled: bool,
     trace: Option<Trace>,
     /// Per-slot launch generation; bumped on every launch and abort so
     /// stale [`HvEvent::ItemDone`] events can be recognized.
@@ -116,9 +131,10 @@ impl<S: Scheduler> Hypervisor<S> {
             arrivals_seen: 0,
             metrics: HvMetrics::detached(),
             interconnect: nimblock_fpga::Interconnect::zcu106_default(),
-            tick_interval: nimblock_sim::SimDuration::from_millis(
+            ticks: TickGrid::new(nimblock_sim::SimDuration::from_millis(
                 nimblock_fpga::zcu106::SCHEDULING_INTERVAL_MILLIS,
-            ),
+            )),
+            launch_stalled: false,
             trace: None,
             launch_gen: vec![0; slot_count],
             fine_checkpoint: None,
@@ -154,9 +170,12 @@ impl<S: Scheduler> Hypervisor<S> {
         self
     }
 
-    /// Overrides the periodic scheduling-tick interval.
+    /// Overrides the periodic scheduling-tick interval. The caller seeds
+    /// the first [`HvEvent::Tick`] at one interval past zero; a zero
+    /// interval disables re-arming, for an outer driver that supplies the
+    /// ticks itself.
     pub fn with_tick_interval(mut self, interval: nimblock_sim::SimDuration) -> Self {
-        self.tick_interval = interval;
+        self.ticks = TickGrid::new(interval);
         self
     }
 
@@ -692,13 +711,14 @@ impl<S: Scheduler> Hypervisor<S> {
                 );
             });
         }
-        queue.push(done_at, HvEvent::ReconfigDone { slot });
+        self.ticks.push(queue, done_at, HvEvent::ReconfigDone { slot });
     }
 
     /// Feeds the next batch item to every idle task whose dependencies
     /// allow it (under the policy's pipelining rule).
     fn launch_items(&mut self, now: SimTime, queue: &mut EventQueue<HvEvent>) {
         let pipelining = self.scheduler.pipelining();
+        self.launch_stalled = false;
         for slot_index in 0..self.bindings.len() {
             let Some((app, task)) = self.bindings[slot_index] else {
                 continue;
@@ -723,6 +743,7 @@ impl<S: Scheduler> Hypervisor<S> {
                         // Retry at a later scheduling point, once buffers
                         // have been relinquished.
                         self.metrics.alloc_stalls.inc();
+                        self.launch_stalled = true;
                         nb_debug!(
                             "hv",
                             "msg=\"alloc stall\" app={app} task={task} at={now}"
@@ -773,7 +794,8 @@ impl<S: Scheduler> Hypervisor<S> {
                     until: now + latency,
                 });
             }
-            queue.push(now + latency, HvEvent::ItemDone { app, task, slot, gen });
+            self.ticks
+                .push(queue, now + latency, HvEvent::ItemDone { app, task, slot, gen });
             if let Some(monitor) = &self.monitor {
                 let until = now + latency;
                 monitor.with(|m| {
@@ -829,10 +851,41 @@ impl<S: Scheduler> Hypervisor<S> {
         }
         self.launch_items(now, queue);
     }
+
+    /// Queues the next tick that can act (see [`HvEvent::Tick`]), once no
+    /// event can still be pushed ahead of it.
+    fn arm_tick(&mut self, now: SimTime, queue: &mut EventQueue<HvEvent>) {
+        if !self.ticks.unplaced() {
+            return;
+        }
+        let due = if self.finished() || self.launch_stalled {
+            // The run ends on the next tick; a stalled launch retries at
+            // every tick.
+            Some(now)
+        } else {
+            // With the port busy no tick consults before its ReconfigDone,
+            // which asks again; an answer now can only queue a tick early.
+            self.refresh_snapshot();
+            let view = SchedView {
+                now,
+                apps: &self.apps,
+                slots: &self.snapshot_buf,
+                reconfig_latency: self.device.nominal_reconfig_latency(),
+                interconnect: self.interconnect,
+            };
+            self.scheduler.next_decision_change(&view)
+        };
+        if let Some(due) = due {
+            self.ticks.arm(queue, due);
+        }
+    }
 }
 
 impl<S: Scheduler> Handler<HvEvent> for Hypervisor<S> {
     fn handle(&mut self, now: SimTime, event: HvEvent, queue: &mut EventQueue<HvEvent>) {
+        if event != HvEvent::Tick {
+            self.ticks.pass_before(now);
+        }
         match event {
             HvEvent::Arrival(index) => {
                 self.monitor_dirty = true;
@@ -878,11 +931,10 @@ impl<S: Scheduler> Handler<HvEvent> for Hypervisor<S> {
             }
             self.monitor_dirty = false;
         }
-        // A zero tick interval disables self re-arming: an outer driver
-        // (e.g. a multi-board cluster) supplies the ticks instead.
-        if matches!(event, HvEvent::Tick) && !self.finished() && !self.tick_interval.is_zero() {
-            queue.push(now + self.tick_interval, HvEvent::Tick);
+        if event == HvEvent::Tick {
+            self.ticks.handled(now, self.finished());
         }
+        self.arm_tick(now, queue);
     }
 }
 

@@ -57,6 +57,7 @@ pub mod monitor;
 mod runtime;
 mod scheduler;
 mod testbed;
+mod tick_grid;
 pub mod trace;
 mod view;
 

@@ -15,7 +15,7 @@
 use std::collections::BTreeMap;
 
 use nimblock_ilp::{saturation, EstimatorConfig, PipelineEstimator};
-use nimblock_sim::SimDuration;
+use nimblock_sim::{SimDuration, SimTime};
 use nimblock_workload::EventSequence;
 
 use crate::{AppId, Reconfig, SchedView, Scheduler};
@@ -122,6 +122,10 @@ impl Scheduler for DmlStaticScheduler {
 
     fn on_retire(&mut self, _view: &SchedView<'_>, app: AppId) {
         self.admitted.remove(&app);
+    }
+
+    fn next_decision_change(&mut self, _view: &SchedView<'_>) -> Option<SimTime> {
+        None // decisions read only the state
     }
 
     fn next_reconfig(&mut self, view: &SchedView<'_>) -> Option<Reconfig> {

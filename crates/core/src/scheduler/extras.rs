@@ -5,7 +5,7 @@
 //! first policy. Both bulk-process batches and never preempt, so they are
 //! directly comparable with FCFS and round-robin.
 
-use nimblock_sim::SimDuration;
+use nimblock_sim::{SimDuration, SimTime};
 
 use crate::{AppId, Reconfig, SchedView, Scheduler};
 
@@ -31,6 +31,10 @@ impl SjfScheduler {
 impl Scheduler for SjfScheduler {
     fn name(&self) -> String {
         "SJF".to_owned()
+    }
+
+    fn next_decision_change(&mut self, _view: &SchedView<'_>) -> Option<SimTime> {
+        None // decisions read only the state
     }
 
     fn next_reconfig(&mut self, view: &SchedView<'_>) -> Option<Reconfig> {
@@ -93,6 +97,10 @@ impl Default for EdfScheduler {
 impl Scheduler for EdfScheduler {
     fn name(&self) -> String {
         "EDF".to_owned()
+    }
+
+    fn next_decision_change(&mut self, _view: &SchedView<'_>) -> Option<SimTime> {
+        None // decisions read only the state
     }
 
     fn next_reconfig(&mut self, view: &SchedView<'_>) -> Option<Reconfig> {

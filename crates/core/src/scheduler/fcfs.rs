@@ -4,6 +4,7 @@ use std::collections::{BTreeSet, VecDeque};
 
 use nimblock_app::TaskId;
 use nimblock_obs::nb_debug;
+use nimblock_sim::SimTime;
 
 use crate::scheduler::SchedMetrics;
 use crate::{AppId, Reconfig, SchedView, Scheduler, TaskPhase};
@@ -49,6 +50,10 @@ impl Scheduler for FcfsScheduler {
 
     fn attach_metrics(&mut self, registry: &nimblock_obs::Registry) {
         self.metrics.register(registry);
+    }
+
+    fn next_decision_change(&mut self, _view: &SchedView<'_>) -> Option<SimTime> {
+        None // decisions read only the state
     }
 
     fn next_reconfig(&mut self, view: &SchedView<'_>) -> Option<Reconfig> {

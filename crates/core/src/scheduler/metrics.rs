@@ -23,6 +23,9 @@ pub(crate) struct SchedMetrics {
     pub(crate) max_tokens_milli: Gauge,
     /// Ready-queue depth (queue policies only).
     pub(crate) ready_depth: Gauge,
+    /// Whether the handles are registry-backed. Gauges that cost a walk of
+    /// the policy's state to compute are only set when they are exported.
+    pub(crate) exported: bool,
 }
 
 impl SchedMetrics {
@@ -35,6 +38,7 @@ impl SchedMetrics {
             candidates: Histogram::detached(),
             max_tokens_milli: Gauge::detached(),
             ready_depth: Gauge::detached(),
+            exported: false,
         }
     }
 
@@ -65,6 +69,7 @@ impl SchedMetrics {
             "sched_ready_queue_depth",
             "Ready tasks waiting for a slot",
         );
+        self.exported = true;
     }
 }
 

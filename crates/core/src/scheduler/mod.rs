@@ -20,6 +20,8 @@ pub use round_robin::RoundRobinScheduler;
 pub(crate) use metrics::SchedMetrics;
 pub(crate) use tokens::TokenBank;
 
+use nimblock_sim::SimTime;
+
 use crate::{AppId, Reconfig, SchedView};
 
 /// A scheduling policy consulted by the [`crate::Hypervisor`].
@@ -31,6 +33,11 @@ use crate::{AppId, Reconfig, SchedView};
 /// with at most one [`Reconfig`] directive per call (the port reconfigures
 /// one slot at a time); directing a bound slot batch-preempts its idle
 /// occupant.
+///
+/// Between events nothing but the clock moves, so a periodic tick can only
+/// matter to a policy whose answer depends on time.
+/// [`Scheduler::next_decision_change`] says when that can next happen, and
+/// the hypervisor queues a tick only there (see [`crate::HvEvent::Tick`]).
 ///
 /// # Contract
 ///
@@ -72,6 +79,30 @@ pub trait Scheduler {
     /// configuration port idle until the next scheduling point.
     fn next_reconfig(&mut self, view: &SchedView<'_>) -> Option<Reconfig>;
 
+    /// Returns the earliest instant at which a consult on the state in
+    /// `view` could do something the last consult did not; `None` if only
+    /// a state change can make that happen.
+    ///
+    /// The hypervisor asks once an event is handled, unless a tick is
+    /// already queued, and skips every periodic tick before the answer.
+    /// With the configuration port idle, [`Scheduler::next_reconfig`] has
+    /// just returned `None` at `view.now`, and the item launches that
+    /// followed may have moved the state since (tasks idle at a batch
+    /// boundary start running). With the port busy, no tick consults before
+    /// its reconfiguration completes, and the hypervisor asks again then.
+    /// A consult "does something" when it returns a directive or records
+    /// something new: PREMA and Nimblock stamp newly qualifying candidates
+    /// with the consult instant. Answering too early costs a wasted tick;
+    /// answering too late changes the schedule.
+    ///
+    /// The default, `Some(view.now)`, keeps every tick. Policies whose
+    /// decisions read only the state, and not the running-versus-idle
+    /// phase a launch changes, answer `None`. The token policies answer
+    /// with the next level crossing that moves their candidate pool.
+    fn next_decision_change(&mut self, view: &SchedView<'_>) -> Option<SimTime> {
+        Some(view.now)
+    }
+
     /// Publishes the policy's instruments (candidate counts, token levels,
     /// queue depths, …) in `registry` under `sched_*` names. The default
     /// does nothing; policies without interesting internal state need not
@@ -100,6 +131,10 @@ impl<T: Scheduler + ?Sized> Scheduler for Box<T> {
 
     fn next_reconfig(&mut self, view: &SchedView<'_>) -> Option<Reconfig> {
         (**self).next_reconfig(view)
+    }
+
+    fn next_decision_change(&mut self, view: &SchedView<'_>) -> Option<SimTime> {
+        (**self).next_decision_change(view)
     }
 
     fn attach_metrics(&mut self, registry: &nimblock_obs::Registry) {

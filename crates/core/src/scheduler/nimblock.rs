@@ -6,6 +6,7 @@ use std::sync::Arc;
 use nimblock_app::TaskGraph;
 use nimblock_ilp::{saturation, EstimatorConfig, PipelineEstimator};
 use nimblock_obs::nb_debug;
+use nimblock_sim::SimTime;
 
 use crate::scheduler::{SchedMetrics, TokenBank};
 use crate::{AppId, Reconfig, SchedView, Scheduler, TaskPhase};
@@ -124,6 +125,9 @@ pub struct NimblockScheduler {
     /// per-event decision path allocates nothing once warm.
     candidate_buf: Vec<AppId>,
     alloc_buf: Vec<(AppId, usize)>,
+    /// The candidate, and the needs of its task, whose failed preemption
+    /// search ended the last decision with `None`.
+    blocked: Option<(AppId, nimblock_fpga::Resources)>,
 }
 
 /// Looks up `app`'s allocation in the flat table. Candidate pools are a
@@ -150,6 +154,7 @@ impl NimblockScheduler {
             metrics: SchedMetrics::detached(),
             candidate_buf: Vec::new(),
             alloc_buf: Vec::new(),
+            blocked: None,
         }
     }
 
@@ -230,6 +235,9 @@ impl NimblockScheduler {
         }
         // Raise allocations to the goal number, oldest first.
         for i in 0..self.alloc_buf.len() {
+            if left == 0 {
+                return;
+            }
             let app = self.alloc_buf[i].0;
             let goal = self.goals.get(&app).copied().unwrap_or(1);
             while left > 0 && self.alloc_buf[i].1 < goal {
@@ -239,6 +247,9 @@ impl NimblockScheduler {
         }
         // Surplus slots go to whoever can still use them, by age.
         for i in 0..self.alloc_buf.len() {
+            if left == 0 {
+                return;
+            }
             let app = self.alloc_buf[i].0;
             let cap = self.usable_cap(view, app);
             while left > 0 && self.alloc_buf[i].1 < cap {
@@ -268,15 +279,18 @@ impl NimblockScheduler {
             let Some(runtime) = view.app(slot_app) else {
                 continue;
             };
-            let consumption =
-                runtime.slots_used() as i64 - alloc_of(alloc, slot_app).unwrap_or(0) as i64;
             let waiting = match runtime.phase(slot_task) {
                 TaskPhase::Idle(_) => true,
                 // A checkpoint-capable overlay can stop a running item too.
                 TaskPhase::Running(_) => self.config.fine_preemption,
                 _ => false,
             };
-            if waiting && consumption > over_consumption {
+            if !waiting {
+                continue;
+            }
+            let consumption =
+                runtime.slots_used() as i64 - alloc_of(alloc, slot_app).unwrap_or(0) as i64;
+            if consumption > over_consumption {
                 over_consumption = consumption;
                 over_consumer = Some(slot_app);
             }
@@ -342,18 +356,44 @@ impl Scheduler for NimblockScheduler {
         self.metrics.register(registry);
     }
 
+    fn next_decision_change(&mut self, view: &SchedView<'_>) -> Option<SimTime> {
+        // Items launched since the decision turn idle occupants into
+        // running ones, which can move the preemption search that ended
+        // it; nothing else the decision reads moves with a launch.
+        if let Some((app, needs)) = self.blocked {
+            if self
+                .preemption_victim(view, &self.alloc_buf, app, &needs)
+                .is_some()
+            {
+                return Some(view.now);
+            }
+        }
+        // Beyond that, candidacy moves only when tokens reach a level.
+        self.bank.next_change()
+    }
+
     fn next_reconfig(&mut self, view: &SchedView<'_>) -> Option<Reconfig> {
         self.metrics.decisions.inc();
+        self.blocked = None;
         self.bank.accumulate(view.now);
-        self.metrics
-            .max_tokens_milli
-            .set((self.bank.max_tokens() * 1000.0) as i64);
+        if self.metrics.exported {
+            self.metrics
+                .max_tokens_milli
+                .set((self.bank.max_tokens() * 1000.0) as i64);
+        }
         // One candidate query serves the whole decision: repeat queries at
         // the same `now` are idempotent (threshold and candidate stamps do
         // not move between them), so reusing the buffer changes nothing.
-        self.bank.candidates_into(view.now, &mut self.candidate_buf);
-        self.candidate_buf.retain(|c| view.app(*c).is_some());
-        self.metrics.candidates.observe(self.candidate_buf.len() as u64);
+        // `allocate` hands out one slot per candidate before any second
+        // one, so candidates past the slot count get nothing: only the
+        // first `slot_count` are read.
+        let pool = self
+            .bank
+            .candidates_into(view.now, view.slot_count(), &mut self.candidate_buf);
+        // The bank forgets an application in `on_retire`, right after the
+        // hypervisor drops it, so every candidate is live.
+        debug_assert!(self.candidate_buf.iter().all(|c| view.app(*c).is_some()));
+        self.metrics.candidates.observe(pool as u64);
         if self.candidate_buf.is_empty() {
             return None;
         }
@@ -361,7 +401,7 @@ impl Scheduler for NimblockScheduler {
         // Oldest candidate below its allocation with a placeable task.
         for i in 0..self.candidate_buf.len() {
             let app = self.candidate_buf[i];
-            let runtime = view.app(app).expect("retained above");
+            let runtime = view.app(app).expect("candidates are live");
             if runtime.slots_used() >= self.alloc_buf[i].1 {
                 continue;
             }
@@ -380,13 +420,7 @@ impl Scheduler for NimblockScheduler {
                 return Some(Reconfig { app, task, slot });
             }
             if self.config.preemption {
-                let needs = *view
-                    .app(app)
-                    .expect("retained above")
-                    .spec()
-                    .graph()
-                    .task(task)
-                    .resources();
+                let needs = *runtime.spec().graph().task(task).resources();
                 if let Some(slot) = self.preemption_victim(view, &self.alloc_buf, app, &needs) {
                     self.preemptions_issued += 1;
                     self.metrics.directives.inc();
@@ -394,6 +428,7 @@ impl Scheduler for NimblockScheduler {
                     nb_debug!("sched.nimblock", "preempt {slot} for {app} {task}");
                     return Some(Reconfig { app, task, slot });
                 }
+                self.blocked = Some((app, needs));
             }
             // No slot obtainable for the neediest candidate; wait for a
             // batch boundary or a retirement rather than skipping ahead.

@@ -2,6 +2,8 @@
 
 use std::collections::VecDeque;
 
+use nimblock_sim::SimTime;
+
 use crate::{AppId, Reconfig, SchedView, Scheduler};
 
 /// The baseline scheduler: no sharing and no virtualization.
@@ -54,6 +56,10 @@ impl Scheduler for NoSharingScheduler {
         if self.active == Some(app) {
             self.active = None;
         }
+    }
+
+    fn next_decision_change(&mut self, _view: &SchedView<'_>) -> Option<SimTime> {
+        None // decisions read only the state
     }
 
     fn next_reconfig(&mut self, view: &SchedView<'_>) -> Option<Reconfig> {

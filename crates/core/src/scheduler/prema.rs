@@ -1,6 +1,7 @@
 //! Task-based PREMA scheduling (paper §5.1).
 
 use nimblock_obs::nb_debug;
+use nimblock_sim::SimTime;
 
 use crate::scheduler::{SchedMetrics, TokenBank};
 use crate::{AppId, Reconfig, SchedView, Scheduler};
@@ -109,19 +110,29 @@ impl Scheduler for PremaScheduler {
         self.metrics.register(registry);
     }
 
+    fn next_decision_change(&mut self, view: &SchedView<'_>) -> Option<SimTime> {
+        // Without a free slot a consult returns before reading the clock.
+        view.first_free_slot()?;
+        self.bank.next_change()
+    }
+
     fn next_reconfig(&mut self, view: &SchedView<'_>) -> Option<Reconfig> {
         self.metrics.decisions.inc();
         view.first_free_slot()?;
         self.bank.accumulate(view.now);
-        self.metrics
-            .max_tokens_milli
-            .set((self.bank.max_tokens() * 1000.0) as i64);
+        if self.metrics.exported {
+            self.metrics
+                .max_tokens_milli
+                .set((self.bank.max_tokens() * 1000.0) as i64);
+        }
         // One candidate query serves the whole decision: repeat queries at
         // the same `now` are idempotent (threshold and candidate stamps do
         // not move between them), so reusing the buffer changes nothing.
-        self.bank.candidates_into(view.now, &mut self.candidate_buf);
+        let pool = self
+            .bank
+            .candidates_into(view.now, usize::MAX, &mut self.candidate_buf);
         self.candidate_buf.retain(|c| view.app(*c).is_some());
-        self.metrics.candidates.observe(self.candidate_buf.len() as u64);
+        self.metrics.candidates.observe(pool as u64);
 
         // Pick the next application to execute when the board frees up:
         // the shortest candidate (estimated remaining compute).

@@ -3,6 +3,7 @@
 use std::collections::{BTreeSet, VecDeque};
 
 use nimblock_app::{Priority, TaskId};
+use nimblock_sim::SimTime;
 
 use crate::{AppId, Reconfig, SchedView, Scheduler};
 
@@ -85,6 +86,10 @@ impl Scheduler for RoundRobinScheduler {
             queue.retain(|&(a, _, _)| a != app);
         }
         self.enqueued.retain(|&(a, _)| a != app);
+    }
+
+    fn next_decision_change(&mut self, _view: &SchedView<'_>) -> Option<SimTime> {
+        None // decisions read only the state
     }
 
     fn next_reconfig(&mut self, view: &SchedView<'_>) -> Option<Reconfig> {

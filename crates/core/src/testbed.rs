@@ -140,15 +140,9 @@ impl<S: Scheduler> Testbed<S> {
         self
     }
 
-    /// Runs `events` to completion and returns the report.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the system fails to retire every application before the
-    /// livelock horizon — a scheduler that stops making progress is a bug
-    /// worth failing loudly on.
     /// Runs `events` to completion with schedule tracing enabled, returning
-    /// the report plus the full [`crate::Trace`].
+    /// the report, with its response-time attribution, plus the full
+    /// [`crate::Trace`].
     ///
     /// # Panics
     ///

@@ -43,8 +43,10 @@
 #   engine-diff     fixed-seed differential oracles: legacy heap vs calendar
 #                   event queue must be byte-identical (reports, traces,
 #                   telemetry) across policies, boards, and thread counts,
-#                   and the makespan estimator must match its queue-driven
-#                   reference on the fixed benchmark panel
+#                   the makespan estimator must match its queue-driven
+#                   reference on the fixed benchmark panel, and runs that
+#                   elide idle scheduling ticks must match the every-tick
+#                   schedule on the fixed policy panel
 #   bench-gate      scripts/bench_gate.sh versus results/BENCH_cluster.json,
 #                   results/BENCH_engine.json, results/BENCH_faas.json, and
 #                   results/BENCH_plan.json
@@ -305,8 +307,9 @@ stage_goldens() {
 
 stage_engine_diff() {
     # The calendar-queue engine must be byte-identical to the retired
-    # binary-heap backend, and the slot-bounded makespan estimator must
-    # give the makespans of its queue-driven reference. The randomized
+    # binary-heap backend, the slot-bounded makespan estimator must give
+    # the makespans of its queue-driven reference, and eliding idle ticks
+    # must leave every output of the every-tick schedule unchanged. The randomized
     # sweeps run in workspace-test (replay a failure with the
     # NIMBLOCK_CHECK_SEED they print); the fixed panels re-run here so this
     # stage is reproducible in isolation.
@@ -319,6 +322,11 @@ stage_engine_diff() {
         --test estimator_differential -- \
         benchmark_panel_matches_the_queue_driven_reference
     echo "ok: estimator matches its queue-driven reference on the benchmark panel"
+    cargo test -q --offline \
+        --test tick_elision_differential -- \
+        every_policy_matches_the_every_tick_reference_on_the_fixed_panel \
+        the_panel_hits_a_directive_issuing_tick_that_shares_its_instant_with_a_completion
+    echo "ok: elided ticks match the every-tick schedule on the fixed panel"
 }
 
 stage_bench_gate() {
