@@ -118,3 +118,16 @@ fn run_rejects_an_input_task_that_fits_no_slot() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A trace whose item names a task its benchmark graph does not have is an
+/// ordinary invariant violation (status 1), not a panic (status 101).
+#[test]
+fn analyze_trace_reports_an_unknown_task_as_a_violation() {
+    let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/fixtures/unknown_task.json");
+    let out = cli().args(["analyze", "trace", fixture]).output().unwrap();
+    assert_eq!(out.status.code(), Some(1), "{}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(stdout.contains("task#7 of app#0 names a task the LeNet graph does not have"), "{stdout}");
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(stderr.starts_with("error: trace violates"), "{stderr}");
+}

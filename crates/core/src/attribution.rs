@@ -23,6 +23,16 @@
 //! Both run on the bare trace — no hypervisor state needed — so
 //! `nimblock analyze explain` can post-process any `trace.json`.
 //!
+//! ## Cost
+//!
+//! One pass builds the per-app timelines and the union of every CAP span.
+//! Each app then binary-searches its `[arrival, retire)` window in that
+//! union instead of scanning every span, and one sweep with a monotone
+//! cursor per span union labels its elementary intervals. `span_trees`
+//! finds each busy interval's driving item by a second sweep over the
+//! items in start order. Apart from sorting, the work is linear in the
+//! trace.
+//!
 //! ## Why the decomposition is exact
 //!
 //! For one app, partition `[arrival, retire)` at every span boundary.
@@ -34,23 +44,25 @@
 //! gain is `busy_union − compute ≤ 0` — an identity, so exactness is
 //! preserved.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BinaryHeap};
 
 use nimblock_metrics::{AppAttribution, AttributionComponents, AttributionSummary};
 use nimblock_obs::{Span, SpanKind};
 
 use nimblock_app::Priority;
 
+use crate::dense::DenseIds;
 use crate::trace::{Trace, TraceEvent};
 use crate::AppId;
 
 /// Everything one application's trace events say about its life.
-struct AppTimeline {
+struct AppTimeline<'t> {
+    id: AppId,
     /// Position of this app's `Arrival` among all arrivals (equals the
     /// stimulus event index for time-sorted sequences — the simulator
     /// pops same-time events FIFO).
     arrival_order: usize,
-    name: String,
+    name: &'t str,
     priority: Priority,
     arrival_us: u64,
     retire_us: Option<u64>,
@@ -62,63 +74,65 @@ struct AppTimeline {
     preempts: Vec<(usize, u64)>,
 }
 
-/// Collects per-app timelines plus the global CAP busy spans.
-fn timelines(trace: &Trace) -> (Vec<(AppId, AppTimeline)>, Vec<(u64, u64)>) {
-    let mut apps: BTreeMap<AppId, AppTimeline> = BTreeMap::new();
-    let mut order: Vec<AppId> = Vec::new();
+/// Collects per-app timelines, in order of first arrival, plus the union
+/// of the CAP busy spans. A repeated arrival starts its app's timeline
+/// afresh; events of an app that has not arrived are ignored.
+fn timelines(trace: &Trace) -> (Vec<AppTimeline<'_>>, Vec<(u64, u64)>) {
+    let mut ids = DenseIds::default();
+    let mut apps: Vec<AppTimeline<'_>> = Vec::new();
+    let mut arrivals = 0;
     let mut cap: Vec<(u64, u64)> = Vec::new();
     for event in trace.events() {
-        match event {
+        let app = match event {
             TraceEvent::Arrival { app, name, priority, at, .. } => {
-                order.push(*app);
-                apps.insert(
-                    *app,
-                    AppTimeline {
-                        arrival_order: order.len() - 1,
-                        name: name.clone(),
-                        priority: *priority,
-                        arrival_us: at.as_micros(),
-                        retire_us: None,
-                        items: Vec::new(),
-                        reconfigs: Vec::new(),
-                        preempts: Vec::new(),
-                    },
-                );
-            }
-            TraceEvent::Retire { app, at } => {
-                if let Some(tl) = apps.get_mut(app) {
-                    tl.retire_us = Some(at.as_micros());
+                let timeline = AppTimeline {
+                    id: *app,
+                    arrival_order: arrivals,
+                    name,
+                    priority: *priority,
+                    arrival_us: at.as_micros(),
+                    retire_us: None,
+                    items: Vec::new(),
+                    reconfigs: Vec::new(),
+                    preempts: Vec::new(),
+                };
+                arrivals += 1;
+                match ids.intern(app.raw()) {
+                    (_, true) => apps.push(timeline),
+                    (i, false) => apps[i] = timeline,
                 }
+                continue;
             }
-            TraceEvent::Item { app, task, item, at, until, .. } => {
-                if let Some(tl) = apps.get_mut(app) {
-                    tl.items.push((task.index(), *item, at.as_micros(), until.as_micros()));
-                }
-            }
-            TraceEvent::Reconfig { slot, app, task, at, until } => {
+            TraceEvent::Reconfig { app, at, until, .. } => {
                 cap.push((at.as_micros(), until.as_micros()));
-                if let Some(tl) = apps.get_mut(app) {
-                    tl.reconfigs.push((
-                        task.index(),
-                        slot.index(),
-                        at.as_micros(),
-                        until.as_micros(),
-                    ));
-                }
+                app
             }
-            TraceEvent::Preempt { app, task, at, .. } => {
-                if let Some(tl) = apps.get_mut(app) {
-                    tl.preempts.push((task.index(), at.as_micros()));
-                }
+            TraceEvent::Retire { app, .. }
+            | TraceEvent::Item { app, .. }
+            | TraceEvent::Preempt { app, .. } => app,
+        };
+        let Some(i) = ids.lookup(app.raw()) else { continue };
+        let tl = &mut apps[i];
+        match event {
+            TraceEvent::Retire { at, .. } => tl.retire_us = Some(at.as_micros()),
+            TraceEvent::Item { task, item, at, until, .. } => {
+                tl.items.push((task.index(), *item, at.as_micros(), until.as_micros()));
             }
+            TraceEvent::Reconfig { slot, task, at, until, .. } => {
+                tl.reconfigs.push((
+                    task.index(),
+                    slot.index(),
+                    at.as_micros(),
+                    until.as_micros(),
+                ));
+            }
+            TraceEvent::Preempt { task, at, .. } => tl.preempts.push((task.index(), at.as_micros())),
+            TraceEvent::Arrival { .. } => {}
         }
     }
-    cap.sort_unstable();
-    let ordered = order
-        .into_iter()
-        .filter_map(|id| apps.remove(&id).map(|tl| (id, tl)))
-        .collect();
-    (ordered, cap)
+    // Empty and inverted spans cover no instant.
+    cap.retain(|&(s, e)| s < e);
+    (apps, union(cap))
 }
 
 /// Clamps `(start, end)` to `[lo, hi]`; `None` if the result is empty.
@@ -141,10 +155,42 @@ fn union(mut spans: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
     out
 }
 
-/// `true` if `t` lies inside the sorted disjoint `spans`.
-fn covered(spans: &[(u64, u64)], t: u64) -> bool {
-    let i = spans.partition_point(|&(s, _)| s <= t);
-    i > 0 && t < spans[i - 1].1
+/// A monotone cursor over a sorted disjoint union, probed at
+/// non-decreasing instants.
+struct Cursor<'s> {
+    spans: &'s [(u64, u64)],
+}
+
+impl Cursor<'_> {
+    /// Whether `t` lies inside the union, and the first span boundary after
+    /// `t` (`u64::MAX` when none is left).
+    fn probe(&mut self, t: u64) -> (bool, u64) {
+        while let Some((&(_, e), rest)) = self.spans.split_first() {
+            if e > t {
+                break;
+            }
+            self.spans = rest;
+        }
+        match self.spans.first() {
+            Some(&(s, e)) if s <= t => (true, e),
+            Some(&(s, _)) => (false, s),
+            None => (false, u64::MAX),
+        }
+    }
+}
+
+/// `(task, start)` of every span, sorted: the first start of one task at
+/// or after an instant is one binary search away.
+fn task_starts(spans: impl Iterator<Item = (usize, u64)>) -> Vec<(usize, u64)> {
+    let mut starts: Vec<(usize, u64)> = spans.collect();
+    starts.sort_unstable();
+    starts
+}
+
+/// The first start of `task` at or after `at` in sorted `task_starts`.
+fn first_start(starts: &[(usize, u64)], task: usize, at: u64) -> Option<u64> {
+    let i = starts.partition_point(|&key| key < (task, at));
+    starts.get(i).filter(|&&(t, _)| t == task).map(|&(_, s)| s)
 }
 
 /// The label an elementary interval receives, in precedence order.
@@ -158,15 +204,17 @@ enum Cause {
 }
 
 /// Per-app classified timeline: each elementary interval of
-/// `[arrival, retire)` with its winning cause, plus the derived
-/// components. Internal scaffolding shared by [`attribute_trace`] and
-/// [`span_trees`].
+/// `[arrival, retire)` with its winning cause (when asked for), plus the
+/// derived components. Internal scaffolding shared by [`attribute_trace`]
+/// and [`span_trees`].
 struct Classified {
     segments: Vec<(u64, u64, Cause)>,
     components: AttributionComponents,
 }
 
-fn classify(tl: &AppTimeline, cap: &[(u64, u64)]) -> Option<Classified> {
+/// Classifies one app's life against the trace-wide CAP union `cap`,
+/// keeping the elementary intervals only when `keep_segments` is set.
+fn classify(tl: &AppTimeline<'_>, cap: &[(u64, u64)], keep_segments: bool) -> Option<Classified> {
     let a = tl.arrival_us;
     let r = tl.retire_us?;
     if r <= a {
@@ -191,73 +239,70 @@ fn classify(tl: &AppTimeline, cap: &[(u64, u64)]) -> Option<Classified> {
     // A preemption's pending window ends when the task next gets a
     // reconfiguration stream (normal path) or, defensively, when it
     // next runs an item; otherwise it pends until retirement.
-    let pend = union(
-        tl.preempts
-            .iter()
-            .filter_map(|&(task, at)| {
-                let next_rec = tl
-                    .reconfigs
-                    .iter()
-                    .filter(|&&(t, _, s, _)| t == task && s >= at)
-                    .map(|&(_, _, s, _)| s)
-                    .min();
-                let next_item = tl
-                    .items
-                    .iter()
-                    .filter(|&&(t, _, s, _)| t == task && s >= at)
-                    .map(|&(_, _, s, _)| s)
-                    .min();
-                let end = match (next_rec, next_item) {
-                    (Some(x), Some(y)) => x.min(y),
-                    (Some(x), None) | (None, Some(x)) => x,
-                    (None, None) => r,
-                };
-                clamp(at, end.max(at), a, r)
-            })
-            .collect(),
-    );
-    let cap_busy = union(
-        cap.iter()
-            .filter_map(|&(s, e)| clamp(s, e, a, r))
-            .collect(),
-    );
+    let pend = if tl.preempts.is_empty() {
+        Vec::new()
+    } else {
+        let rec_starts = task_starts(tl.reconfigs.iter().map(|&(t, _, s, _)| (t, s)));
+        let item_starts = task_starts(tl.items.iter().map(|&(t, _, s, _)| (t, s)));
+        union(
+            tl.preempts
+                .iter()
+                .filter_map(|&(task, at)| {
+                    let next_rec = first_start(&rec_starts, task, at);
+                    let next_item = first_start(&item_starts, task, at);
+                    let end = match (next_rec, next_item) {
+                        (Some(x), Some(y)) => x.min(y),
+                        (Some(x), None) | (None, Some(x)) => x,
+                        (None, None) => r,
+                    };
+                    clamp(at, end.max(at), a, r)
+                })
+                .collect(),
+        )
+    };
+    // The CAP pieces overlapping `[a, r)`; probed only inside the window,
+    // so they need no clamping.
+    let first = cap.partition_point(|&(_, e)| e <= a);
+    let cap_busy = &cap[first..first + cap[first..].partition_point(|&(s, _)| s < r)];
 
-    let mut bounds: Vec<u64> = vec![a, r];
-    for set in [&busy, &rec, &pend, &cap_busy] {
-        for &(s, e) in set.iter() {
-            bounds.push(s);
-            bounds.push(e);
-        }
-    }
-    bounds.sort_unstable();
-    bounds.dedup();
-
+    // Sweep the elementary intervals: each ends at the next boundary of
+    // any of the four unions (or at retirement), and takes the cause of
+    // the first union, in precedence order, that covers its start.
     let mut components = AttributionComponents {
         compute,
         ..AttributionComponents::default()
     };
     let mut busy_union_len = 0u64;
-    let mut segments = Vec::with_capacity(bounds.len().saturating_sub(1));
-    for pair in bounds.windows(2) {
-        let (t0, t1) = (pair[0], pair[1]);
+    let mut segments = Vec::new();
+    let mut cursors = [
+        (Cursor { spans: &busy }, Cause::Busy),
+        (Cursor { spans: &rec }, Cause::Reconfig),
+        (Cursor { spans: &pend }, Cause::PreemptionLoss),
+        (Cursor { spans: cap_busy }, Cause::CapSerialization),
+    ];
+    let mut t0 = a;
+    while t0 < r {
+        let mut t1 = r;
+        let mut cause = Cause::QueueWait;
+        for (cursor, label) in &mut cursors {
+            let (covered, next) = cursor.probe(t0);
+            t1 = t1.min(next);
+            if covered && cause == Cause::QueueWait {
+                cause = *label;
+            }
+        }
         let len = t1 - t0;
-        let cause = if covered(&busy, t0) {
-            busy_union_len += len;
-            Cause::Busy
-        } else if covered(&rec, t0) {
-            components.reconfig += len;
-            Cause::Reconfig
-        } else if covered(&pend, t0) {
-            components.preemption_loss += len;
-            Cause::PreemptionLoss
-        } else if covered(&cap_busy, t0) {
-            components.cap_serialization += len;
-            Cause::CapSerialization
-        } else {
-            components.queue_wait += len;
-            Cause::QueueWait
-        };
-        segments.push((t0, t1, cause));
+        match cause {
+            Cause::Busy => busy_union_len += len,
+            Cause::Reconfig => components.reconfig += len,
+            Cause::PreemptionLoss => components.preemption_loss += len,
+            Cause::CapSerialization => components.cap_serialization += len,
+            Cause::QueueWait => components.queue_wait += len,
+        }
+        if keep_segments {
+            segments.push((t0, t1, cause));
+        }
+        t0 = t1;
     }
     // busy = compute + gain, an identity: the sum stays exact.
     components.pipeline_overlap_gain = busy_union_len as i64 - compute as i64;
@@ -272,8 +317,8 @@ pub fn attribute_trace(trace: &Trace) -> AttributionSummary {
     let (apps, cap) = timelines(trace);
     let attributions = apps
         .iter()
-        .filter_map(|(_, tl)| {
-            let classified = classify(tl, &cap)?;
+        .filter_map(|tl| {
+            let classified = classify(tl, &cap, false)?;
             let response = tl.retire_us?.saturating_sub(tl.arrival_us);
             debug_assert!(
                 classified.components.sums_to(response),
@@ -283,7 +328,7 @@ pub fn attribute_trace(trace: &Trace) -> AttributionSummary {
             );
             Some(AppAttribution {
                 event_index: tl.arrival_order,
-                app_name: tl.name.clone(),
+                app_name: tl.name.to_owned(),
                 priority: tl.priority,
                 response_micros: response,
                 components: classified.components,
@@ -291,6 +336,35 @@ pub fn attribute_trace(trace: &Trace) -> AttributionSummary {
         })
         .collect();
     AttributionSummary::from_apps(attributions)
+}
+
+/// Which own item drives each busy interval: among the items running at
+/// its start, the one ending last (the later-recorded on a tie). One sweep
+/// over the items in start order, with the running ones in a max-heap
+/// keyed `(end, index)`.
+fn critical_items(items: &[(usize, u32, u64, u64)], segments: &[(u64, u64, Cause)]) -> Vec<bool> {
+    let mut critical = vec![false; items.len()];
+    let mut by_start: Vec<usize> = (0..items.len()).collect();
+    by_start.sort_unstable_by_key(|&i| items[i].2);
+    let mut by_start = by_start.into_iter().peekable();
+    let mut running: BinaryHeap<(u64, usize)> = BinaryHeap::new();
+    for &(t0, _, cause) in segments {
+        if cause != Cause::Busy {
+            continue;
+        }
+        while let Some(i) = by_start.next_if(|&i| items[i].2 <= t0) {
+            running.push((items[i].3, i));
+        }
+        // Segment starts only grow, so an item ended by one is ended for
+        // every later one.
+        while running.peek().is_some_and(|&(end, _)| end <= t0) {
+            running.pop();
+        }
+        if let Some(&(_, i)) = running.peek() {
+            critical[i] = true;
+        }
+    }
+    critical
 }
 
 /// Derives one span tree per retired application, in arrival order:
@@ -305,34 +379,17 @@ pub fn attribute_trace(trace: &Trace) -> AttributionSummary {
 pub fn span_trees(trace: &Trace) -> Vec<Span> {
     let (apps, cap) = timelines(trace);
     let mut trees = Vec::new();
-    for (id, tl) in &apps {
+    for tl in &apps {
         let Some(retire) = tl.retire_us else { continue };
-        let Some(classified) = classify(tl, &cap) else { continue };
+        let Some(classified) = classify(tl, &cap, true) else { continue };
         let mut root = Span::new(
-            format!("{} {}", tl.name, id),
+            format!("{} {}", tl.name, tl.id),
             SpanKind::App,
             tl.arrival_us,
             retire,
         );
         root.critical = true;
-
-        // Which own item drives each busy interval: the one ending last.
-        let mut item_critical = vec![false; tl.items.len()];
-        for &(t0, _, cause) in &classified.segments {
-            if cause != Cause::Busy {
-                continue;
-            }
-            let driver = tl
-                .items
-                .iter()
-                .enumerate()
-                .filter(|&(_, &(_, _, s, e))| s <= t0 && t0 < e)
-                .max_by_key(|&(i, &(_, _, _, e))| (e, i))
-                .map(|(i, _)| i);
-            if let Some(i) = driver {
-                item_critical[i] = true;
-            }
-        }
+        let item_critical = critical_items(&tl.items, &classified.segments);
 
         // Task spans with their children.
         let mut tasks: BTreeMap<usize, Span> = BTreeMap::new();
@@ -369,20 +426,17 @@ pub fn span_trees(trace: &Trace) -> Vec<Span> {
             }
             parent.children.push(span);
         }
-        for &(task, at) in &tl.preempts {
-            if let Some(parent) = tasks.get_mut(&task) {
-                let resume = tl
-                    .reconfigs
-                    .iter()
-                    .filter(|&&(t, _, s, _)| t == task && s >= at)
-                    .map(|&(_, _, s, _)| s)
-                    .min()
-                    .unwrap_or(retire);
-                parent.end_us = parent.end_us.max(resume);
-                let mut span =
-                    Span::new("preempted".to_owned(), SpanKind::Preempt, at, resume);
-                span.critical = true;
-                parent.children.push(span);
+        if !tl.preempts.is_empty() {
+            let rec_starts = task_starts(tl.reconfigs.iter().map(|&(t, _, s, _)| (t, s)));
+            for &(task, at) in &tl.preempts {
+                if let Some(parent) = tasks.get_mut(&task) {
+                    let resume = first_start(&rec_starts, task, at).unwrap_or(retire);
+                    parent.end_us = parent.end_us.max(resume);
+                    let mut span =
+                        Span::new("preempted".to_owned(), SpanKind::Preempt, at, resume);
+                    span.critical = true;
+                    parent.children.push(span);
+                }
             }
         }
         for task in tasks.values_mut() {
@@ -587,10 +641,12 @@ mod tests {
     fn interval_union_and_coverage() {
         let u = union(vec![(5, 10), (0, 3), (9, 12), (20, 25)]);
         assert_eq!(u, vec![(0, 3), (5, 12), (20, 25)]);
-        assert!(covered(&u, 0));
-        assert!(covered(&u, 11));
-        assert!(!covered(&u, 3));
-        assert!(!covered(&u, 12));
-        assert!(!covered(&u, 4));
+        let mut cursor = Cursor { spans: &u };
+        assert_eq!(cursor.probe(0), (true, 3));
+        assert_eq!(cursor.probe(3), (false, 5));
+        assert_eq!(cursor.probe(4), (false, 5));
+        assert_eq!(cursor.probe(11), (true, 12));
+        assert_eq!(cursor.probe(12), (false, 20));
+        assert_eq!(cursor.probe(25), (false, u64::MAX));
     }
 }

@@ -23,7 +23,7 @@
 //!   exclusivity, slot double-booking); this is what the legacy
 //!   [`Trace::validate`] shim delegates to.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
 use nimblock_app::{benchmarks, AppSpec, Priority, TaskId};
@@ -31,6 +31,7 @@ use nimblock_fpga::SlotId;
 use nimblock_ser::{impl_json_struct, FromJson, Json, JsonError, ToJson};
 use nimblock_sim::{SimDuration, SimTime};
 
+use crate::dense::DenseIds;
 use crate::trace::{Trace, TraceEvent};
 use crate::AppId;
 
@@ -301,106 +302,259 @@ impl fmt::Display for InvariantReport {
 }
 
 // ---------------------------------------------------------------------------
-// Pass A: span normalization.
+// Pass A: indexing the trace.
 // ---------------------------------------------------------------------------
 
-/// Per-trace derived data shared by the rule checkers.
-///
-/// The hypervisor traces each item's *scheduled* completion at launch time;
-/// a fine-grained preemption aborts the in-flight item, so its traced span
-/// must be truncated at the preemption instant before any span math
-/// (otherwise the abandoned tail would double-book the slot against the
-/// reconfiguration that evicted it). Aborted items do not count as
-/// completions — the resumed launch completes the item.
-struct SpanData {
-    /// Item event index → truncated end (the preemption instant).
-    truncated: HashMap<usize, SimTime>,
-    /// Preempt event indices that interrupted an in-flight item.
-    mid_item: HashSet<usize>,
-    /// Preempt event indices that interrupted an in-flight reconfiguration.
-    during_reconfig: HashSet<usize>,
-    /// Preempt event index → the application the slot was next
-    /// reconfigured for (the preemptor).
-    preemptor: HashMap<usize, AppId>,
-    /// Completed (untruncated) items per (app, task): `(until, item)`,
-    /// sorted by completion time.
-    completions: HashMap<(AppId, TaskId), Vec<(SimTime, u32)>>,
+/// Marks the absent slot or pair of an arrival or retirement.
+const NONE: usize = usize::MAX;
+
+/// The raw application of an event, and its slot and task when it has
+/// them.
+fn ids(event: &TraceEvent) -> (AppId, Option<(SlotId, TaskId)>) {
+    match event {
+        TraceEvent::Arrival { app, .. } | TraceEvent::Retire { app, .. } => (*app, None),
+        TraceEvent::Reconfig { slot, app, task, .. }
+        | TraceEvent::Item { slot, app, task, .. }
+        | TraceEvent::Preempt { slot, app, task, .. } => (*app, Some((*slot, *task))),
+    }
 }
 
-impl SpanData {
-    fn collect(events: &[TraceEvent]) -> SpanData {
-        let mut data = SpanData {
+/// The dense ids of one trace event.
+#[derive(Clone, Copy)]
+struct Row {
+    /// Dense application.
+    app: usize,
+    /// Dense slot, [`NONE`] for arrivals and retirements.
+    slot: usize,
+    /// Dense `(application, task)` pair, [`NONE`] for arrivals and
+    /// retirements.
+    pair: usize,
+}
+
+/// What the index knows about one preemption.
+#[derive(Clone, Copy, Default)]
+struct PreemptMark {
+    /// It interrupted an in-flight item.
+    mid_item: bool,
+    /// It interrupted an in-flight reconfiguration.
+    during_reconfig: bool,
+    /// The dense application its slot was next reconfigured for (the
+    /// preemptor).
+    preemptor: Option<usize>,
+}
+
+/// The trace, indexed once: dense ids for everything it names, the spans
+/// preemptions cut short, and each pair's completions in one flat table.
+struct TraceIndex {
+    /// Item event index → the preemption instant that aborted it.
+    ///
+    /// The hypervisor traces each item's *scheduled* completion at launch
+    /// time; a fine-grained preemption aborts the in-flight item, so its
+    /// traced span must be truncated at the preemption instant before any
+    /// span math (otherwise the abandoned tail would double-book the slot
+    /// against the reconfiguration that evicted it). Aborted items do not
+    /// count as completions — the resumed launch completes the item.
+    truncated: HashMap<usize, SimTime>,
+    /// One per preemption, in trace order.
+    preempts: Vec<PreemptMark>,
+    apps: DenseIds,
+    slots: DenseIds,
+    /// Per dense application: its tasks, numbered densely…
+    app_tasks: Vec<DenseIds>,
+    /// …and the dense pair of each.
+    app_pairs: Vec<Vec<usize>>,
+    /// Per pair: its task.
+    pair_task: Vec<TaskId>,
+    /// Completed (untruncated) items, `(until, item)`, grouped by pair and
+    /// sorted within each group: pair `p` owns
+    /// `completions[completion_start[p]..completion_start[p + 1]]`.
+    completions: Vec<(SimTime, u32)>,
+    completion_start: Vec<usize>,
+    /// Reconfiguration and item spans, counted per dense slot: slot `s`
+    /// has `slot_start[s + 1] - slot_start[s]` of them.
+    slot_start: Vec<usize>,
+}
+
+/// `counts` as group offsets: `[0, c0, c0 + c1, …]`.
+fn offsets(counts: &[usize]) -> Vec<usize> {
+    let mut start = Vec::with_capacity(counts.len() + 1);
+    start.push(0);
+    for &count in counts {
+        start.push(start[start.len() - 1] + count);
+    }
+    start
+}
+
+impl TraceIndex {
+    fn build(events: &[TraceEvent]) -> TraceIndex {
+        let mut index = TraceIndex {
             truncated: HashMap::new(),
-            mid_item: HashSet::new(),
-            during_reconfig: HashSet::new(),
-            preemptor: HashMap::new(),
-            completions: HashMap::new(),
+            preempts: Vec::new(),
+            apps: DenseIds::default(),
+            slots: DenseIds::default(),
+            app_tasks: Vec::new(),
+            app_pairs: Vec::new(),
+            pair_task: Vec::new(),
+            completions: Vec::new(),
+            completion_start: Vec::new(),
+            slot_start: Vec::new(),
         };
-        let mut inflight_item: HashMap<SlotId, usize> = HashMap::new();
-        let mut inflight_reconfig: HashMap<SlotId, usize> = HashMap::new();
-        let mut pending_preempts: HashMap<SlotId, Vec<usize>> = HashMap::new();
-        for (index, event) in events.iter().enumerate() {
+        // Per dense slot: the event index of its latest item and
+        // reconfiguration, and its span count; per pair, its completions.
+        let mut inflight_item: Vec<Option<usize>> = Vec::new();
+        let mut inflight_reconfig: Vec<Option<usize>> = Vec::new();
+        let mut slot_spans: Vec<usize> = Vec::new();
+        let mut pair_items: Vec<usize> = Vec::new();
+        for (i, event) in events.iter().enumerate() {
+            let (app, placed) = ids(event);
+            let (app, new_app) = index.apps.intern(app.raw());
+            if new_app {
+                index.app_tasks.push(DenseIds::default());
+                index.app_pairs.push(Vec::new());
+            }
+            let Some((slot, task)) = placed else { continue };
+            let (slot, new_slot) = index.slots.intern(slot.index() as u64);
+            if new_slot {
+                inflight_item.push(None);
+                inflight_reconfig.push(None);
+                slot_spans.push(0);
+            }
+            let (local, new_task) = index.app_tasks[app].intern(task.index() as u64);
+            if new_task {
+                index.app_pairs[app].push(index.pair_task.len());
+                index.pair_task.push(task);
+                pair_items.push(0);
+            }
+            let pair = index.app_pairs[app][local];
             match event {
-                TraceEvent::Item { slot, .. } => {
-                    inflight_item.insert(*slot, index);
+                TraceEvent::Item { .. } => {
+                    inflight_item[slot] = Some(i);
+                    slot_spans[slot] += 1;
+                    pair_items[pair] += 1;
                 }
+                TraceEvent::Reconfig { .. } => {
+                    inflight_reconfig[slot] = Some(i);
+                    slot_spans[slot] += 1;
+                }
+                TraceEvent::Preempt { app, task, at, .. } => {
+                    let interrupts = |span: Option<usize>| match span.map(|s| &events[s]) {
+                        Some(
+                            TraceEvent::Item { app: a, task: t, at: started, until, .. }
+                            | TraceEvent::Reconfig { app: a, task: t, at: started, until, .. },
+                        ) => a == app && t == task && started <= at && at < until,
+                        _ => false,
+                    };
+                    let mark = PreemptMark {
+                        mid_item: interrupts(inflight_item[slot]),
+                        during_reconfig: interrupts(inflight_reconfig[slot]),
+                        preemptor: None,
+                    };
+                    if let (true, Some(item)) = (mark.mid_item, inflight_item[slot]) {
+                        // The aborted item is of the preempted task: this
+                        // pair loses a completion.
+                        if index.truncated.insert(item, *at).is_none() {
+                            pair_items[pair] -= 1;
+                        }
+                    }
+                    index.preempts.push(mark);
+                }
+                TraceEvent::Arrival { .. } | TraceEvent::Retire { .. } => {}
+            }
+        }
+        index.slot_start = offsets(&slot_spans);
+        index.completion_start = offsets(&pair_items);
+        // A preemption's preemptor is the application its slot is next
+        // reconfigured for: one backward pass.
+        let mut next_reconfig: Vec<Option<usize>> = vec![None; index.slots.count()];
+        let mut preempts = std::mem::take(&mut index.preempts);
+        let mut marks = preempts.iter_mut().rev();
+        for event in events.iter().rev() {
+            match event {
                 TraceEvent::Reconfig { slot, app, .. } => {
-                    inflight_reconfig.insert(*slot, index);
-                    for preempt in pending_preempts.remove(slot).unwrap_or_default() {
-                        data.preemptor.insert(preempt, *app);
-                    }
+                    next_reconfig[index.slot_of(*slot)] = index.apps.lookup(app.raw());
                 }
-                TraceEvent::Preempt { slot, app, task, at } => {
-                    if let Some(&item_index) = inflight_item.get(slot) {
-                        if let TraceEvent::Item {
-                            app: item_app, task: item_task, at: started, until, ..
-                        } = &events[item_index]
-                        {
-                            if item_app == app && item_task == task && started <= at && at < until
-                            {
-                                data.truncated.insert(item_index, *at);
-                                data.mid_item.insert(index);
-                            }
-                        }
+                TraceEvent::Preempt { slot, .. } => {
+                    if let Some(mark) = marks.next() {
+                        mark.preemptor = next_reconfig[index.slot_of(*slot)];
                     }
-                    if let Some(&reconfig_index) = inflight_reconfig.get(slot) {
-                        if let TraceEvent::Reconfig {
-                            app: r_app, task: r_task, at: started, until, ..
-                        } = &events[reconfig_index]
-                        {
-                            if r_app == app && r_task == task && started <= at && at < until {
-                                data.during_reconfig.insert(index);
-                            }
-                        }
-                    }
-                    pending_preempts.entry(*slot).or_default().push(index);
                 }
                 _ => {}
             }
         }
-        for (index, event) in events.iter().enumerate() {
+        index.preempts = preempts;
+        index.collect_completions(events);
+        index
+    }
+
+    fn collect_completions(&mut self, events: &[TraceEvent]) {
+        let mut fill = self.completion_start.clone();
+        let mut completions = vec![(SimTime::ZERO, 0u32); fill[fill.len() - 1]];
+        for (i, event) in events.iter().enumerate() {
             if let TraceEvent::Item { app, task, item, until, .. } = event {
-                if !data.truncated.contains_key(&index) {
-                    data.completions
-                        .entry((*app, *task))
-                        .or_default()
-                        .push((*until, *item));
+                if !self.truncated.contains_key(&i) {
+                    let pair = self.pair_of(*app, *task);
+                    completions[fill[pair]] = (*until, *item);
+                    fill[pair] += 1;
                 }
             }
         }
-        for list in data.completions.values_mut() {
-            list.sort();
+        for pair in self.completion_start.windows(2) {
+            completions[pair[0]..pair[1]].sort_unstable();
         }
-        data
+        self.completions = completions;
+    }
+
+    /// The dense ids of an event of the indexed trace.
+    fn keys(&self, event: &TraceEvent) -> Row {
+        let (app, placed) = ids(event);
+        let app = self.apps.lookup(app.raw()).unwrap_or(NONE);
+        match placed {
+            None => Row { app, slot: NONE, pair: NONE },
+            Some((slot, task)) => Row {
+                app,
+                slot: self.slot_of(slot),
+                pair: self.pair(app, task).unwrap_or(NONE),
+            },
+        }
+    }
+
+    /// The dense id of a slot of the indexed trace.
+    fn slot_of(&self, slot: SlotId) -> usize {
+        self.slots.lookup(slot.index() as u64).unwrap_or(NONE)
+    }
+
+    /// The dense pair of a placed event of the indexed trace.
+    fn pair_of(&self, app: AppId, task: TaskId) -> usize {
+        self.apps.lookup(app.raw()).and_then(|app| self.pair(app, task)).unwrap_or(NONE)
+    }
+
+    /// The dense pair of `(app, task)`, if the trace names it.
+    fn pair(&self, app: usize, task: TaskId) -> Option<usize> {
+        let local = self.app_tasks[app].lookup(task.index() as u64)?;
+        Some(self.app_pairs[app][local])
+    }
+
+    /// Completed items of `pair`, sorted by completion time.
+    fn completed(&self, pair: usize) -> &[(SimTime, u32)] {
+        &self.completions[self.completion_start[pair]..self.completion_start[pair + 1]]
     }
 
     /// How many items of `(app, task)` had completed by time `t`
     /// (inclusive).
-    fn completed_before(&self, app: AppId, task: TaskId, t: SimTime) -> u32 {
-        match self.completions.get(&(app, task)) {
-            Some(list) => list.partition_point(|&(until, _)| until <= t) as u32,
-            None => 0,
-        }
+    fn completed_before(&self, app: usize, task: TaskId, t: SimTime) -> u32 {
+        let done = self
+            .pair(app, task)
+            .map_or(0, |pair| self.completed(pair).partition_point(|&(until, _)| until <= t));
+        u32::try_from(done).unwrap_or(u32::MAX)
+    }
+
+    fn app_id(&self, app: usize) -> AppId {
+        AppId::new(self.apps.raw(app))
+    }
+
+    fn slot_id(&self, slot: usize) -> SlotId {
+        // Dense slots are numbered from `SlotId`s, which are `u32`.
+        SlotId::new(u32::try_from(self.slots.raw(slot)).unwrap_or(u32::MAX))
     }
 }
 
@@ -408,8 +562,7 @@ impl SpanData {
 // Hardware rules (shared with the legacy `Trace::validate` shim).
 // ---------------------------------------------------------------------------
 
-fn hardware_violations(trace: &Trace, data: &SpanData) -> Vec<Violation> {
-    let events = trace.events();
+fn hardware_violations(events: &[TraceEvent], index: &TraceIndex) -> Vec<Violation> {
     let mut violations = Vec::new();
     // Configuration-port exclusivity: reconfiguration spans are disjoint.
     let mut cap: Vec<(SimTime, SimTime, SlotId)> = events
@@ -436,29 +589,30 @@ fn hardware_violations(trace: &Trace, data: &SpanData) -> Vec<Violation> {
         }
     }
     // Slot exclusivity: per slot, reconfiguration and (truncated) item
-    // spans are disjoint.
-    for index in 0..trace.slots() {
-        let slot = SlotId::new(index as u32);
-        let mut spans: Vec<(SimTime, SimTime)> = events
-            .iter()
-            .enumerate()
-            .filter_map(|(event_index, event)| match event {
-                TraceEvent::Reconfig { slot: s, at, until, .. } if *s == slot => {
-                    Some((*at, *until))
-                }
-                TraceEvent::Item { slot: s, at, until, .. } if *s == slot => {
-                    let until = data
-                        .truncated
-                        .get(&event_index)
-                        .copied()
-                        .unwrap_or(*until);
-                    Some((*at, until))
-                }
-                _ => None,
-            })
-            .collect();
-        spans.sort();
-        for pair in spans.windows(2) {
+    // spans are disjoint. Group the spans by slot, then check the slots the
+    // trace names in slot order.
+    let start = &index.slot_start;
+    let mut fill = start.clone();
+    let mut spans = vec![(SimTime::ZERO, SimTime::ZERO); start[start.len() - 1]];
+    for (i, event) in events.iter().enumerate() {
+        let (slot, at, until) = match event {
+            TraceEvent::Reconfig { slot, at, until, .. } => (slot, at, until),
+            TraceEvent::Item { slot, at, until, .. } => {
+                (slot, at, index.truncated.get(&i).unwrap_or(until))
+            }
+            _ => continue,
+        };
+        let slot = index.slot_of(*slot);
+        spans[fill[slot]] = (*at, *until);
+        fill[slot] += 1;
+    }
+    let mut order: Vec<usize> = (0..index.slots.count()).collect();
+    order.sort_unstable_by_key(|&s| index.slots.raw(s));
+    for s in order {
+        let slot = index.slot_id(s);
+        let group = &mut spans[start[s]..start[s + 1]];
+        group.sort_unstable();
+        for pair in group.windows(2) {
             if pair[1].0 < pair[0].1 {
                 violations.push(
                     Violation::new(
@@ -485,82 +639,158 @@ fn hardware_violations(trace: &Trace, data: &SpanData) -> Vec<Violation> {
 /// This is the rule subset the legacy [`Trace::validate`] delegates to; use
 /// [`verify_trace`] for the full invariant set.
 pub fn verify_hardware(trace: &Trace) -> Vec<Violation> {
-    let data = SpanData::collect(trace.events());
-    hardware_violations(trace, &data)
+    let index = TraceIndex::build(trace.events());
+    hardware_violations(trace.events(), &index)
 }
 
 // ---------------------------------------------------------------------------
 // Pass B: event-ordered replay for the stateful rules.
 // ---------------------------------------------------------------------------
 
-struct AppState {
-    name: String,
+/// One benchmark of the catalog, with its tasks' topological positions.
+struct Benchmark {
+    spec: AppSpec,
+    /// Task index → position in topological order.
+    topo_pos: Vec<usize>,
+}
+
+impl Benchmark {
+    fn catalog() -> Vec<Benchmark> {
+        benchmarks::all()
+            .into_iter()
+            .map(|spec| {
+                let graph = spec.graph();
+                let mut topo_pos = vec![0; graph.task_count()];
+                for (pos, &task) in graph.topological_order().iter().enumerate() {
+                    topo_pos[task.index()] = pos;
+                }
+                Benchmark { spec, topo_pos }
+            })
+            .collect()
+    }
+}
+
+struct AppState<'a> {
+    name: &'a str,
     batch: u32,
     priority: Priority,
     arrival: SimTime,
     retired: Option<SimTime>,
-    /// Benchmark spec, when the traced name resolves in the catalog;
+    /// Catalog entry, when the traced name resolves in the catalog;
     /// graph-dependent rules are skipped otherwise.
-    spec: Option<AppSpec>,
-    /// Task → position in topological order (empty when `spec` is `None`).
-    topo_pos: HashMap<TaskId, usize>,
-    /// Tasks observed in any Reconfig/Item event (the task universe for
-    /// token conservation when the graph is unknown).
-    seen_tasks: BTreeSet<TaskId>,
+    spec: Option<usize>,
+    /// Its graph's tasks' batch-completion instants, sorted: a range of
+    /// [`Replay::done_by`] (goal-ceiling checks only).
+    goal_done: std::ops::Range<usize>,
+}
+
+/// A slot's current tenant.
+#[derive(Clone, Copy)]
+struct Binding {
+    app: usize,
+    pair: usize,
+    /// Position of the slot in its application's [`Replay::held`] list.
+    position: usize,
 }
 
 struct Replay<'a> {
     config: &'a InvariantConfig,
-    data: &'a SpanData,
+    index: &'a TraceIndex,
+    catalog: Vec<Benchmark>,
     slot_count: usize,
-    apps: BTreeMap<AppId, AppState>,
-    bindings: BTreeMap<SlotId, (AppId, TaskId)>,
+    /// Per dense application, once arrived.
+    apps: Vec<Option<AppState<'a>>>,
+    /// Per pair, once its application arrived: when the application's
+    /// whole batch of it had completed (the instant it releases its slot).
+    done_at: Vec<Option<SimTime>>,
+    /// Flat storage of every [`AppState::goal_done`] range.
+    done_by: Vec<SimTime>,
+    /// Per pair: observed in a reconfiguration or item after its
+    /// application arrived (the task universe for token conservation when
+    /// the graph is unknown).
+    seen: Vec<bool>,
+    /// Per dense slot: its tenant. A bound task releases its slot the
+    /// instant its whole batch is done; the table is cleaned lazily, so
+    /// liveness is time-qualified.
+    bound: Vec<Option<Binding>>,
+    /// Per dense application: the dense slots bound to it, unordered.
+    held: Vec<Vec<usize>>,
+    /// Reused buffer for token counting.
+    items: Vec<u32>,
 }
 
 impl<'a> Replay<'a> {
-    fn new(trace: &Trace, config: &'a InvariantConfig, data: &'a SpanData) -> Self {
+    fn new(trace: &Trace, config: &'a InvariantConfig, index: &'a TraceIndex) -> Self {
+        let apps = index.apps.count();
         Replay {
             config,
-            data,
+            index,
+            catalog: Benchmark::catalog(),
             slot_count: trace.slots(),
-            apps: BTreeMap::new(),
-            bindings: BTreeMap::new(),
+            apps: (0..apps).map(|_| None).collect(),
+            done_at: vec![None; index.pair_task.len()],
+            done_by: Vec::new(),
+            seen: vec![false; index.pair_task.len()],
+            bound: vec![None; index.slots.count()],
+            held: vec![Vec::new(); apps],
+            items: Vec::new(),
         }
     }
 
-    /// A bound task releases its slot the instant its whole batch is done;
-    /// the binding table is cleaned lazily, so liveness is time-qualified.
-    fn released(&self, app: AppId, task: TaskId, t: SimTime) -> bool {
-        match self.apps.get(&app) {
-            Some(state) => self.data.completed_before(app, task, t) >= state.batch,
-            None => false,
-        }
+    /// Whether the task of `pair` had released its slot by time `t`.
+    fn released(&self, pair: usize, t: SimTime) -> bool {
+        self.done_at[pair].is_some_and(|done| done <= t)
     }
 
     /// Slots `app` occupies at time `t` (live bindings only).
-    fn occupancy(&self, app: AppId, t: SimTime) -> usize {
-        self.bindings
-            .values()
-            .filter(|&&(a, task)| a == app && !self.released(a, task, t))
+    fn occupancy(&self, app: usize, t: SimTime) -> usize {
+        self.held[app]
+            .iter()
+            .filter(|&&slot| self.bound[slot].is_some_and(|b| !self.released(b.pair, t)))
             .count()
+    }
+
+    fn bind(&mut self, slot: usize, app: usize, pair: usize) {
+        self.unbind(slot);
+        let position = self.held[app].len();
+        self.held[app].push(slot);
+        self.bound[slot] = Some(Binding { app, pair, position });
+    }
+
+    fn unbind(&mut self, slot: usize) {
+        let Some(binding) = self.bound[slot].take() else { return };
+        let held = &mut self.held[binding.app];
+        held.swap_remove(binding.position);
+        if let Some(&moved) = held.get(binding.position) {
+            if let Some(moved) = self.bound[moved].as_mut() {
+                moved.position = binding.position;
+            }
+        }
+    }
+
+    /// Position of `task` in the topological order of `app`'s graph.
+    fn topo_pos(&self, app: usize, task: TaskId) -> Option<usize> {
+        let spec = self.apps[app].as_ref()?.spec?;
+        self.catalog[spec].topo_pos.get(task.index()).copied()
     }
 
     fn check_lifecycle(
         &self,
-        app: AppId,
+        app: usize,
         at: SimTime,
         what: &str,
         out: &mut Vec<Violation>,
     ) -> bool {
-        match self.apps.get(&app) {
+        let id = self.index.app_id(app);
+        match &self.apps[app] {
             None => {
                 out.push(
                     Violation::new(
                         InvariantRule::Lifecycle,
                         at,
-                        format!("{what} for {app}, which never arrived"),
+                        format!("{what} for {id}, which never arrived"),
                     )
-                    .for_app(app),
+                    .for_app(id),
                 );
                 false
             }
@@ -570,9 +800,9 @@ impl<'a> Replay<'a> {
                         Violation::new(
                             InvariantRule::Lifecycle,
                             at,
-                            format!("{what} for {app}, which retired at {retired}"),
+                            format!("{what} for {id}, which retired at {retired}"),
                         )
-                        .for_app(app),
+                        .for_app(id),
                     );
                     false
                 }
@@ -583,196 +813,224 @@ impl<'a> Replay<'a> {
 
     fn on_arrival(
         &mut self,
-        app: AppId,
-        name: &str,
+        app: usize,
+        name: &'a str,
         batch: u32,
         priority: Priority,
         at: SimTime,
         out: &mut Vec<Violation>,
     ) {
-        if self.apps.contains_key(&app) {
+        if self.apps[app].is_some() {
+            let id = self.index.app_id(app);
             out.push(
                 Violation::new(
                     InvariantRule::Lifecycle,
                     at,
-                    format!("duplicate arrival for {app}"),
+                    format!("duplicate arrival for {id}"),
                 )
-                .for_app(app),
+                .for_app(id),
             );
             return;
         }
-        let spec = benchmarks::by_name(name);
-        let topo_pos = spec
-            .as_ref()
-            .map(|s| {
-                s.graph()
-                    .topological_order()
-                    .iter()
-                    .enumerate()
-                    .map(|(pos, &task)| (task, pos))
-                    .collect()
-            })
-            .unwrap_or_default();
-        self.apps.insert(
-            app,
-            AppState {
-                name: name.to_owned(),
-                batch,
-                priority,
-                arrival: at,
-                retired: None,
-                spec,
-                topo_pos,
-                seen_tasks: BTreeSet::new(),
-            },
-        );
+        // A task releases its slot at its `batch`-th completion.
+        for &pair in &self.index.app_pairs[app] {
+            self.done_at[pair] = match batch.checked_sub(1) {
+                None => Some(SimTime::ZERO),
+                Some(last) => usize::try_from(last)
+                    .ok()
+                    .and_then(|last| self.index.completed(pair).get(last))
+                    .map(|&(until, _)| until),
+            };
+        }
+        let spec = self.catalog.iter().position(|b| b.spec.name() == name);
+        let start = self.done_by.len();
+        if let (Some(spec), true) = (spec, self.config.nimblock_policy) {
+            for task in self.catalog[spec].spec.graph().task_ids() {
+                let done = match self.index.pair(app, task) {
+                    Some(pair) => self.done_at[pair],
+                    None => (batch == 0).then_some(SimTime::ZERO),
+                };
+                self.done_by.extend(done);
+            }
+            self.done_by[start..].sort_unstable();
+        }
+        self.apps[app] = Some(AppState {
+            name,
+            batch,
+            priority,
+            arrival: at,
+            retired: None,
+            spec,
+            goal_done: start..self.done_by.len(),
+        });
     }
 
     fn on_reconfig(
         &mut self,
+        row: &Row,
         slot: SlotId,
-        app: AppId,
         task: TaskId,
         at: SimTime,
         out: &mut Vec<Violation>,
     ) {
+        let (app, id) = (row.app, self.index.app_id(row.app));
         let known = self.check_lifecycle(app, at, "reconfiguration", out);
         // The slot must be free: unoccupied, or its previous tenant
         // finished its batch, or a preemption was traced (which removed the
         // binding before this event).
-        if let Some(&(prev_app, prev_task)) = self.bindings.get(&slot) {
-            if !self.released(prev_app, prev_task, at) {
+        if let Some(prev) = self.bound[row.slot] {
+            if !self.released(prev.pair, at) {
+                let prev_app = self.index.app_id(prev.app);
+                let prev_task = self.index.pair_task[prev.pair];
                 out.push(
                     Violation::new(
                         InvariantRule::SlotOverlap,
                         at,
                         format!(
-                            "{slot} reconfigured for {task} of {app} while {prev_task} of \
+                            "{slot} reconfigured for {task} of {id} while {prev_task} of \
                              {prev_app} still occupies it (no preemption traced)"
                         ),
                     )
                     .on_slot(slot)
-                    .for_app(app),
+                    .for_app(id),
                 );
             }
         }
         // A task holds at most one slot.
-        for (&other_slot, &(bound_app, bound_task)) in &self.bindings {
-            if other_slot != slot
-                && (bound_app, bound_task) == (app, task)
-                && !self.released(app, task, at)
-            {
+        if !self.released(row.pair, at) {
+            let mut others: Vec<SlotId> = self.held[app]
+                .iter()
+                .filter(|&&s| {
+                    s != row.slot && self.bound[s].is_some_and(|b| b.pair == row.pair)
+                })
+                .map(|&s| self.index.slot_id(s))
+                .collect();
+            others.sort_unstable();
+            for other_slot in others {
                 out.push(
                     Violation::new(
                         InvariantRule::TaskSingleSlot,
                         at,
                         format!(
-                            "{task} of {app} reconfigured onto {slot} while still holding \
+                            "{task} of {id} reconfigured onto {slot} while still holding \
                              {other_slot}"
                         ),
                     )
                     .on_slot(slot)
-                    .for_app(app),
+                    .for_app(id),
                 );
             }
         }
-        self.bindings.insert(slot, (app, task));
-        if let Some(state) = self.apps.get_mut(&app) {
-            state.seen_tasks.insert(task);
+        self.bind(row.slot, app, row.pair);
+        if self.apps[app].is_some() {
+            self.seen[row.pair] = true;
         }
         // Goal-number ceiling: occupancy never exceeds unfinished tasks.
-        if known && self.config.nimblock_policy {
-            let (task_count, batch) = match self.apps.get(&app) {
-                Some(state) => match &state.spec {
-                    Some(spec) => (spec.graph().task_count(), state.batch),
-                    None => return,
-                },
-                None => return,
-            };
-            let done_tasks = (0..task_count)
-                .filter(|&t| {
-                    self.data.completed_before(app, TaskId::new(t as u32), at) >= batch
-                })
-                .count();
-            let unfinished = task_count - done_tasks;
-            let occupancy = self.occupancy(app, at);
-            if occupancy > unfinished {
-                out.push(
-                    Violation::new(
-                        InvariantRule::GoalCeiling,
-                        at,
-                        format!(
-                            "{app} occupies {occupancy} slots but has only {unfinished} \
-                             unfinished tasks"
-                        ),
-                    )
-                    .on_slot(slot)
-                    .for_app(app),
-                );
-            }
+        if !known || !self.config.nimblock_policy {
+            return;
+        }
+        let Some(state) = &self.apps[app] else { return };
+        let Some(spec) = state.spec else { return };
+        let task_count = self.catalog[spec].spec.graph().task_count();
+        let done_tasks = self.done_by[state.goal_done.clone()].partition_point(|&d| d <= at);
+        let unfinished = task_count - done_tasks;
+        let occupancy = self.occupancy(app, at);
+        if occupancy > unfinished {
+            out.push(
+                Violation::new(
+                    InvariantRule::GoalCeiling,
+                    at,
+                    format!(
+                        "{id} occupies {occupancy} slots but has only {unfinished} \
+                         unfinished tasks"
+                    ),
+                )
+                .on_slot(slot)
+                .for_app(id),
+            );
         }
     }
 
     fn on_item(
         &mut self,
+        row: &Row,
         slot: SlotId,
-        app: AppId,
         task: TaskId,
         item: u32,
         at: SimTime,
         out: &mut Vec<Violation>,
     ) {
+        let (app, id) = (row.app, self.index.app_id(row.app));
         let known = self.check_lifecycle(app, at, "item execution", out);
-        if self.bindings.get(&slot) != Some(&(app, task)) {
+        if self.bound[row.slot].map(|b| b.pair) != Some(row.pair) {
             out.push(
                 Violation::new(
                     InvariantRule::Lifecycle,
                     at,
-                    format!("item {item} of {task} of {app} ran on {slot}, which is not \
+                    format!("item {item} of {task} of {id} ran on {slot}, which is not \
                              configured for it"),
                 )
                 .on_slot(slot)
-                .for_app(app),
+                .for_app(id),
             );
         }
-        if let Some(state) = self.apps.get_mut(&app) {
-            state.seen_tasks.insert(task);
+        if self.apps[app].is_some() {
+            self.seen[row.pair] = true;
         }
         if !known {
             return;
         }
-        let state = &self.apps[&app];
+        let Some(state) = &self.apps[app] else { return };
         if item >= state.batch {
             out.push(
                 Violation::new(
                     InvariantRule::TokenConservation,
                     at,
                     format!(
-                        "{task} of {app} ran item {item}, beyond its batch of {}",
+                        "{task} of {id} ran item {item}, beyond its batch of {}",
                         state.batch
                     ),
                 )
                 .on_slot(slot)
-                .for_app(app),
+                .for_app(id),
             );
         }
         // DAG order: item k needs item k of every predecessor finished.
-        let Some(spec) = &state.spec else { return };
-        for &pred in spec.graph().predecessors(task) {
-            let done = self.data.completed_before(app, pred, at);
+        let Some(spec) = state.spec else { return };
+        let spec = &self.catalog[spec].spec;
+        let graph = spec.graph();
+        if task.index() >= graph.task_count() {
+            out.push(
+                Violation::new(
+                    InvariantRule::Lifecycle,
+                    at,
+                    format!(
+                        "item {item} of {task} of {id} names a task the {} graph does not \
+                         have ({} tasks)",
+                        spec.name(),
+                        graph.task_count()
+                    ),
+                )
+                .on_slot(slot)
+                .for_app(id),
+            );
+            return;
+        }
+        for &pred in graph.predecessors(task) {
+            let done = self.index.completed_before(app, pred, at);
             if done < item + 1 {
                 out.push(
                     Violation::new(
                         InvariantRule::DagOrder,
                         at,
                         format!(
-                            "item {item} of {task} of {app} started with predecessor {pred} \
+                            "item {item} of {task} of {id} started with predecessor {pred} \
                              at only {done} completed item(s) (needs {})",
                             item + 1
                         ),
                     )
                     .on_slot(slot)
-                    .for_app(app),
+                    .for_app(id),
                 );
             }
         }
@@ -780,95 +1038,99 @@ impl<'a> Replay<'a> {
 
     fn on_preempt(
         &mut self,
-        index: usize,
+        row: &Row,
+        mark: PreemptMark,
         slot: SlotId,
-        app: AppId,
         task: TaskId,
         at: SimTime,
         out: &mut Vec<Violation>,
     ) {
-        let known = self.check_lifecycle(app, at, "preemption", out);
-        if self.bindings.get(&slot) != Some(&(app, task)) {
+        let id = self.index.app_id(row.app);
+        let known = self.check_lifecycle(row.app, at, "preemption", out);
+        if self.bound[row.slot].map(|b| b.pair) != Some(row.pair) {
             out.push(
                 Violation::new(
                     InvariantRule::Lifecycle,
                     at,
-                    format!("preemption of {task} of {app} on {slot}, which it does not hold"),
+                    format!("preemption of {task} of {id} on {slot}, which it does not hold"),
                 )
                 .on_slot(slot)
-                .for_app(app),
+                .for_app(id),
             );
         }
         // Boundary-only: no item in flight (unless checkpoint-capable),
         // never mid-reconfiguration.
-        if self.data.mid_item.contains(&index) && !self.config.allow_mid_item_preemption {
+        if mark.mid_item && !self.config.allow_mid_item_preemption {
             out.push(
                 Violation::new(
                     InvariantRule::PreemptBoundary,
                     at,
                     format!(
-                        "{task} of {app} preempted mid-item on {slot} without a \
+                        "{task} of {id} preempted mid-item on {slot} without a \
                          checkpoint-capable overlay"
                     ),
                 )
                 .on_slot(slot)
-                .for_app(app),
+                .for_app(id),
             );
         }
-        if self.data.during_reconfig.contains(&index) {
+        if mark.during_reconfig {
             out.push(
                 Violation::new(
                     InvariantRule::PreemptBoundary,
                     at,
-                    format!("{task} of {app} preempted while still reconfiguring on {slot}"),
+                    format!("{task} of {id} preempted while still reconfiguring on {slot}"),
                 )
                 .on_slot(slot)
-                .for_app(app),
+                .for_app(id),
             );
         }
         if known && self.config.nimblock_policy {
-            self.check_preempt_policy(index, slot, app, task, at, out);
+            self.check_preempt_policy(row, mark.preemptor, slot, task, at, out);
         }
-        self.bindings.remove(&slot);
+        self.unbind(row.slot);
     }
 
     fn check_preempt_policy(
         &self,
-        index: usize,
+        row: &Row,
+        preemptor: Option<usize>,
         slot: SlotId,
-        app: AppId,
         task: TaskId,
         at: SimTime,
         out: &mut Vec<Violation>,
     ) {
-        let state = &self.apps[&app];
+        let (app, id) = (row.app, self.index.app_id(row.app));
+        let Some(state) = &self.apps[app] else { return };
         // Topologically-latest-first (Algorithm 2): no placed task of the
-        // victim application sits later in topological order.
-        if let Some(&victim_pos) = state.topo_pos.get(&task) {
-            for (&other_slot, &(bound_app, bound_task)) in &self.bindings {
-                if bound_app != app || other_slot == slot {
-                    continue;
-                }
-                if self.released(app, bound_task, at) {
-                    continue;
-                }
-                if let Some(&other_pos) = state.topo_pos.get(&bound_task) {
-                    if other_pos > victim_pos {
-                        out.push(
-                            Violation::new(
-                                InvariantRule::PreemptTopoLatest,
-                                at,
-                                format!(
-                                    "preempted {task} of {app} while the topologically later \
-                                     {bound_task} was still placed on {other_slot}"
-                                ),
-                            )
-                            .on_slot(slot)
-                            .for_app(app),
-                        );
-                        break;
-                    }
-                }
+        // victim application sits later in topological order. Report the
+        // first such slot.
+        if let Some(victim_pos) = self.topo_pos(app, task) {
+            let later = self.held[app]
+                .iter()
+                .filter_map(|&s| Some((s, self.bound[s]?)))
+                .filter(|&(s, b)| {
+                    s != row.slot
+                        && !self.released(b.pair, at)
+                        && self
+                            .topo_pos(app, self.index.pair_task[b.pair])
+                            .is_some_and(|pos| pos > victim_pos)
+                })
+                .map(|(s, b)| (self.index.slot_id(s), self.index.pair_task[b.pair]))
+                .min();
+            if let Some((other_slot, bound_task)) = later {
+                out.push(
+                    Violation::new(
+                        InvariantRule::PreemptTopoLatest,
+                        at,
+                        format!(
+                            "preempted {task} of {id} while the topologically later \
+                             {bound_task} was still placed on {other_slot}"
+                        ),
+                    )
+                    .on_slot(slot)
+                    .for_app(id),
+                );
             }
         }
         // Priority ordering, conservatively: a High-priority application is
@@ -880,8 +1142,8 @@ impl<'a> Replay<'a> {
         if state.priority != Priority::High {
             return;
         }
-        let Some(&preemptor) = self.data.preemptor.get(&index) else { return };
-        let preemptor_priority = match self.apps.get(&preemptor) {
+        let Some(preemptor) = preemptor else { return };
+        let preemptor_priority = match &self.apps[preemptor] {
             Some(p) => p.priority,
             None => return,
         };
@@ -893,35 +1155,38 @@ impl<'a> Replay<'a> {
         }
         let live_apps = self
             .apps
-            .values()
-            .filter(|a| a.arrival <= at && a.retired.map_or(true, |r| r >= at))
+            .iter()
+            .flatten()
+            .filter(|a| a.arrival <= at && a.retired.is_none_or(|r| r >= at))
             .count();
         if live_apps <= self.slot_count {
+            let preemptor = self.index.app_id(preemptor);
             out.push(
                 Violation::new(
                     InvariantRule::PreemptPriority,
                     at,
                     format!(
-                        "high-priority {app} lost its only slot ({slot}) to {}-priority \
+                        "high-priority {id} lost its only slot ({slot}) to {}-priority \
                          {preemptor} with {live_apps} live application(s) on {} slots",
                         preemptor_priority, self.slot_count
                     ),
                 )
                 .on_slot(slot)
-                .for_app(app),
+                .for_app(id),
             );
         }
     }
 
-    fn on_retire(&mut self, app: AppId, at: SimTime, out: &mut Vec<Violation>) {
-        let Some(state) = self.apps.get_mut(&app) else {
+    fn on_retire(&mut self, app: usize, at: SimTime, out: &mut Vec<Violation>) {
+        let id = self.index.app_id(app);
+        let Some(state) = self.apps[app].as_mut() else {
             out.push(
                 Violation::new(
                     InvariantRule::Lifecycle,
                     at,
-                    format!("retirement of {app}, which never arrived"),
+                    format!("retirement of {id}, which never arrived"),
                 )
-                .for_app(app),
+                .for_app(id),
             );
             return;
         };
@@ -930,9 +1195,9 @@ impl<'a> Replay<'a> {
                 Violation::new(
                     InvariantRule::Lifecycle,
                     at,
-                    format!("duplicate retirement of {app} (already retired at {earlier})"),
+                    format!("duplicate retirement of {id} (already retired at {earlier})"),
                 )
-                .for_app(app),
+                .for_app(id),
             );
             return;
         }
@@ -940,66 +1205,89 @@ impl<'a> Replay<'a> {
         // Token conservation at retirement: every batch item of every task
         // processed exactly once.
         let batch = state.batch;
-        let tasks: Vec<TaskId> = match &state.spec {
-            Some(spec) => spec.graph().task_ids().collect(),
-            None => state.seen_tasks.iter().copied().collect(),
-        };
-        for task in tasks {
-            let mut counts = vec![0u32; batch as usize];
-            if let Some(list) = self.data.completions.get(&(app, task)) {
-                for &(_, item) in list {
-                    if (item as usize) < counts.len() {
-                        counts[item as usize] += 1;
-                    }
-                }
+        let tasks: Vec<TaskId> = match state.spec {
+            Some(spec) => self.catalog[spec].spec.graph().task_ids().collect(),
+            None => {
+                let mut seen: Vec<TaskId> = self.index.app_pairs[app]
+                    .iter()
+                    .filter(|&&pair| self.seen[pair])
+                    .map(|&pair| self.index.pair_task[pair])
+                    .collect();
+                seen.sort_unstable();
+                seen
             }
-            if counts.iter().all(|&c| c == 0) && batch > 0 {
+        };
+        let mut items = std::mem::take(&mut self.items);
+        for task in tasks {
+            items.clear();
+            if let Some(pair) = self.index.pair(app, task) {
+                items.extend(
+                    self.index.completed(pair).iter().map(|&(_, item)| item).filter(|&i| i < batch),
+                );
+            }
+            items.sort_unstable();
+            if items.is_empty() && batch > 0 {
                 out.push(
                     Violation::new(
                         InvariantRule::TokenConservation,
                         at,
                         format!(
-                            "{app} retired with {task} having completed 0 of {batch} items"
+                            "{id} retired with {task} having completed 0 of {batch} items"
                         ),
                     )
-                    .for_app(app),
+                    .for_app(id),
                 );
                 continue;
             }
-            for (item, &count) in counts.iter().enumerate() {
+            let mut next = 0;
+            for item in 0..batch {
+                let first = next;
+                while items.get(next) == Some(&item) {
+                    next += 1;
+                }
+                let count = next - first;
                 if count != 1 {
                     out.push(
                         Violation::new(
                             InvariantRule::TokenConservation,
                             at,
                             format!(
-                                "work token for item {item} of {task} of {app} was consumed \
+                                "work token for item {item} of {task} of {id} was consumed \
                                  {count} times (expected exactly once)"
                             ),
                         )
-                        .for_app(app),
+                        .for_app(id),
                     );
                 }
             }
         }
-        self.bindings.retain(|_, &mut (bound_app, _)| bound_app != app);
+        self.items = items;
+        for slot in std::mem::take(&mut self.held[app]) {
+            self.bound[slot] = None;
+        }
     }
 
     fn finish(&self, out: &mut Vec<Violation>, end: SimTime) {
-        for (&app, state) in &self.apps {
-            if state.retired.is_none() {
-                out.push(
-                    Violation::new(
-                        InvariantRule::Lifecycle,
-                        end,
-                        format!(
-                            "{app} ('{}') arrived at {} but never retired",
-                            state.name, state.arrival
-                        ),
-                    )
-                    .for_app(app),
-                );
-            }
+        let mut unretired: Vec<(AppId, &AppState<'_>)> = self
+            .apps
+            .iter()
+            .enumerate()
+            .filter_map(|(app, state)| Some((self.index.app_id(app), state.as_ref()?)))
+            .filter(|(_, state)| state.retired.is_none())
+            .collect();
+        unretired.sort_unstable_by_key(|&(id, _)| id);
+        for (id, state) in unretired {
+            out.push(
+                Violation::new(
+                    InvariantRule::Lifecycle,
+                    end,
+                    format!(
+                        "{id} ('{}') arrived at {} but never retired",
+                        state.name, state.arrival
+                    ),
+                )
+                .for_app(id),
+            );
         }
     }
 }
@@ -1007,14 +1295,22 @@ impl<'a> Replay<'a> {
 /// Verifies every schedule invariant against `trace`, returning all
 /// violations found (never just the first).
 ///
+/// One pass indexes the trace: it numbers the applications, slots and
+/// `(application, task)` pairs the trace names densely, marks the spans
+/// preemptions cut short, and groups completions by pair. The replay then
+/// does work linear in the events, apart from sorting.
+///
 /// Rules needing the application's task graph (DAG order, preemption
 /// topological ordering, full token conservation) resolve the traced
-/// benchmark name through [`nimblock_app::benchmarks::by_name`]; traces of
-/// unknown applications are still checked against the graph-free rules.
+/// benchmark name in [`nimblock_app::benchmarks::all`], built once per
+/// call; traces of unknown applications are still checked against the
+/// graph-free rules. An item whose task its graph does not have is a
+/// [`InvariantRule::Lifecycle`] violation, and skips that item's DAG-order
+/// check.
 pub fn verify_trace(trace: &Trace, config: &InvariantConfig) -> InvariantReport {
     let events = trace.events();
-    let data = SpanData::collect(events);
-    let mut violations = hardware_violations(trace, &data);
+    let index = TraceIndex::build(events);
+    let mut violations = hardware_violations(events, &index);
     if let Some(expected) = config.reconfig_latency {
         for event in events {
             if let TraceEvent::Reconfig { slot, app, task, at, until } = event {
@@ -1036,27 +1332,30 @@ pub fn verify_trace(trace: &Trace, config: &InvariantConfig) -> InvariantReport 
             }
         }
     }
-    let mut replay = Replay::new(trace, config, &data);
-    for (index, event) in events.iter().enumerate() {
+    let mut replay = Replay::new(trace, config, &index);
+    let mut marks = index.preempts.iter();
+    for event in events {
+        let row = &index.keys(event);
         match event {
-            TraceEvent::Arrival { app, name, batch, priority, at } => {
-                replay.on_arrival(*app, name, *batch, *priority, *at, &mut violations);
+            TraceEvent::Arrival { name, batch, priority, at, .. } => {
+                replay.on_arrival(row.app, name, *batch, *priority, *at, &mut violations);
             }
-            TraceEvent::Reconfig { slot, app, task, at, .. } => {
-                replay.on_reconfig(*slot, *app, *task, *at, &mut violations);
+            TraceEvent::Reconfig { slot, task, at, .. } => {
+                replay.on_reconfig(row, *slot, *task, *at, &mut violations);
             }
-            TraceEvent::Item { slot, app, task, item, at, .. } => {
-                replay.on_item(*slot, *app, *task, *item, *at, &mut violations);
+            TraceEvent::Item { slot, task, item, at, .. } => {
+                replay.on_item(row, *slot, *task, *item, *at, &mut violations);
             }
-            TraceEvent::Preempt { slot, app, task, at } => {
-                replay.on_preempt(index, *slot, *app, *task, *at, &mut violations);
+            TraceEvent::Preempt { slot, task, at, .. } => {
+                let mark = marks.next().copied().unwrap_or_default();
+                replay.on_preempt(row, mark, *slot, *task, *at, &mut violations);
             }
-            TraceEvent::Retire { app, at } => {
-                replay.on_retire(*app, *at, &mut violations);
+            TraceEvent::Retire { at, .. } => {
+                replay.on_retire(row.app, *at, &mut violations);
             }
         }
     }
-    let apps_seen = replay.apps.len();
+    let apps_seen = replay.apps.iter().flatten().count();
     replay.finish(&mut violations, trace.end());
     violations.sort_by_key(|v| v.at);
     InvariantReport { violations, events_checked: events.len(), apps_seen }

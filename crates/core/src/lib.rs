@@ -50,6 +50,7 @@
 
 mod arena;
 pub mod attribution;
+mod dense;
 mod hv_metrics;
 mod hypervisor;
 pub mod invariants;

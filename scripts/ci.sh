@@ -44,9 +44,11 @@
 #                   event queue must be byte-identical (reports, traces,
 #                   telemetry) across policies, boards, and thread counts,
 #                   the makespan estimator must match its queue-driven
-#                   reference on the fixed benchmark panel, and runs that
+#                   reference on the fixed benchmark panel, runs that
 #                   elide idle scheduling ticks must match the every-tick
-#                   schedule on the fixed policy panel
+#                   schedule on the fixed policy panel, and the indexed
+#                   invariant verifier and attribution must match their
+#                   reference on the fixed trace panel
 #   bench-gate      scripts/bench_gate.sh versus results/BENCH_cluster.json,
 #                   results/BENCH_engine.json, results/BENCH_faas.json, and
 #                   results/BENCH_plan.json
@@ -309,7 +311,9 @@ stage_engine_diff() {
     # The calendar-queue engine must be byte-identical to the retired
     # binary-heap backend, the slot-bounded makespan estimator must give
     # the makespans of its queue-driven reference, and eliding idle ticks
-    # must leave every output of the every-tick schedule unchanged. The randomized
+    # must leave every output of the every-tick schedule unchanged, and the
+    # indexed check path (verifier, attribution, span trees) must give its
+    # reference's output on every trace of the panel. The randomized
     # sweeps run in workspace-test (replay a failure with the
     # NIMBLOCK_CHECK_SEED they print); the fixed panels re-run here so this
     # stage is reproducible in isolation.
@@ -327,6 +331,11 @@ stage_engine_diff() {
         every_policy_matches_the_every_tick_reference_on_the_fixed_panel \
         the_panel_hits_a_directive_issuing_tick_that_shares_its_instant_with_a_completion
     echo "ok: elided ticks match the every-tick schedule on the fixed panel"
+    cargo test -q --offline \
+        --test check_path_differential -- \
+        the_fixed_panel_matches_the_reference_check_path \
+        an_unknown_task_is_reported_where_the_reference_panics
+    echo "ok: the indexed check path matches its reference on the fixed panel"
 }
 
 stage_bench_gate() {

@@ -10,12 +10,17 @@
 //! Regenerate the committed fixtures with
 //! `NIMBLOCK_REGEN_GOLDENS=1 cargo test --test adversarial_traces`.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::fs;
 use std::path::Path;
+use std::time::{Duration, Instant};
 
-use nimblock::analyze::invariants::{verify_trace, InvariantConfig, InvariantRule};
+use nimblock::analyze::invariants::{
+    verify_hardware, verify_trace, InvariantConfig, InvariantRule,
+};
 use nimblock::app::{Priority, TaskId};
-use nimblock::core::{AppId, Trace, TraceEvent};
+use nimblock::core::{attribute_trace, span_trees, AppId, Trace, TraceEvent};
 use nimblock::fpga::SlotId;
 use nimblock::sim::SimTime;
 use nimblock_ser::{from_str, to_string_pretty};
@@ -436,4 +441,135 @@ fn a_misordered_rollover_tie_is_caught() {
         report.rules_fired().contains(&InvariantRule::SlotOverlap),
         "expected slot-overlap, got: {report}"
     );
+}
+
+// ---------------------------------------------------------------------------
+// Untrusted sizes: an unknown task, huge slot counts and ids.
+// ---------------------------------------------------------------------------
+
+/// The token-leak run with its last item naming task 7, which LeNet (three
+/// tasks) does not have. The verifier reports it as a lifecycle violation
+/// naming the application and the task, skips that item's DAG-order check,
+/// and goes on checking the rest of the trace.
+#[test]
+fn an_item_of_a_task_its_graph_does_not_have_is_a_lifecycle_violation() {
+    let trace = trace_of(
+        3,
+        vec![
+            arrival(0, "LeNet", 2, Priority::Medium, 0),
+            reconfig(0, 0, 0, 0, 80),
+            reconfig(1, 0, 1, 80, 160),
+            item(0, 0, 0, 0, 80, 140),
+            item(0, 0, 0, 1, 140, 200),
+            reconfig(2, 0, 2, 160, 240),
+            item(1, 0, 1, 0, 200, 240),
+            item(1, 0, 1, 1, 240, 280),
+            item(2, 0, 7, 0, 280, 300), // LeNet has no task 7.
+            retire(0, 300),
+        ],
+    );
+    let parsed = fixture("unknown_task", &trace);
+    for config in [InvariantConfig::default(), InvariantConfig::mechanism_only()] {
+        let report = verify_trace(&parsed, &config);
+        let unknown: Vec<_> = report
+            .of_rule(InvariantRule::Lifecycle)
+            .into_iter()
+            .filter(|v| v.message.contains("task#7") && v.message.contains("graph does not have"))
+            .collect();
+        assert_eq!(unknown.len(), 1, "{report}");
+        assert_eq!(unknown[0].app, Some(AppId::new(0)));
+        assert_eq!(unknown[0].slot, Some(SlotId::new(2)));
+        // The rest of the trace is still checked: task 2 never ran.
+        assert!(report.rules_fired().contains(&InvariantRule::TokenConservation), "{report}");
+    }
+}
+
+/// Records the largest single allocation each thread requests, so a test
+/// can show that a check sized no table by a value read from the trace.
+struct LargestRequest;
+
+thread_local! {
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+fn note_request(size: usize) {
+    LARGEST.with(|largest| largest.set(largest.get().max(size)));
+}
+
+// SAFETY: forwards every call to the system allocator unchanged; the
+// thread-local it updates is a `const`-initialized `Cell` with no
+// destructor, so touching it never allocates.
+unsafe impl GlobalAlloc for LargestRequest {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note_request(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note_request(layout.size());
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note_request(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: LargestRequest = LargestRequest;
+
+/// `slot_count` and every id are read from the file by `analyze trace` and
+/// `analyze explain`. Neither a declared slot count of 2^40 nor events
+/// naming slot 4 000 000 000 and application `u64::MAX` may make the
+/// checker loop to those values or allocate by them.
+#[test]
+fn huge_slot_counts_and_ids_are_checked_promptly_without_sized_tables() {
+    let far = AppId::new(u64::MAX);
+    let slot = SlotId::new(4_000_000_000);
+    let mut named = Trace::with_slots(2);
+    for event in [
+        TraceEvent::Arrival {
+            app: far,
+            name: "LeNet".to_owned(),
+            batch: 1,
+            priority: Priority::High,
+            at: ms(0),
+        },
+        TraceEvent::Reconfig { slot, app: far, task: TaskId::new(0), at: ms(0), until: ms(80) },
+        TraceEvent::Item {
+            slot,
+            app: far,
+            task: TaskId::new(0),
+            item: 0,
+            at: ms(80),
+            until: ms(140),
+        },
+        TraceEvent::Preempt { slot, app: far, task: TaskId::new(0), at: ms(140) },
+        TraceEvent::Retire { app: far, at: ms(140) },
+    ] {
+        named.record(event);
+    }
+    assert_eq!(named.slots(), 4_000_000_001);
+    for (what, trace) in [("empty, 2^40 slots", Trace::with_slots(1 << 40)), ("far ids", named)] {
+        LARGEST.with(|largest| largest.set(0));
+        let start = Instant::now();
+        let report = verify_trace(&trace, &InvariantConfig::default());
+        let hardware = verify_hardware(&trace);
+        let summary = attribute_trace(&trace);
+        let trees = span_trees(&trace);
+        let took = start.elapsed();
+        let largest = LARGEST.with(Cell::get);
+        assert!(largest < 1 << 20, "{what}: one allocation asked for {largest} bytes");
+        assert!(took < Duration::from_secs(5), "{what}: checking took {took:?}");
+        assert!(hardware.is_empty(), "{what}: {hardware:?}");
+        let retired = trace.events().iter().any(|e| matches!(e, TraceEvent::Retire { .. }));
+        assert_eq!(summary.apps.len(), usize::from(retired), "{what}");
+        assert_eq!(trees.len(), usize::from(retired), "{what}");
+        assert_eq!(report.apps_seen, usize::from(retired), "{what}: {report}");
+    }
 }

@@ -18,27 +18,15 @@ use std::path::PathBuf;
 
 use nimblock::analyze::{deep_tree, lint_tree};
 
+mod support;
+use support::golden;
+
 fn repo_path(parts: &[&str]) -> PathBuf {
     let mut path = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
     for part in parts {
         path.push(part);
     }
     path
-}
-
-/// Reads the golden, or rewrites it when `NIMBLOCK_REGEN_GOLDENS` is set.
-fn golden(name: &str, fresh: &str) -> String {
-    let path = repo_path(&["tests", "goldens", name]);
-    if std::env::var("NIMBLOCK_REGEN_GOLDENS").is_ok() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, fresh).unwrap();
-    }
-    std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "cannot read {} ({e}); regenerate with NIMBLOCK_REGEN_GOLDENS=1",
-            path.display()
-        )
-    })
 }
 
 #[test]

@@ -17,34 +17,12 @@
 //! Everything is keyed by virtual time only — reruns on any machine must
 //! reproduce the golden byte-for-byte.
 
-use std::path::PathBuf;
-
 use nimblock::faas::{FrontDoor, FrontDoorConfig, FrontDoorReport, FunctionRegistry, TenantPolicy};
 use nimblock::sim::SimDuration;
 use nimblock::workload::ArrivalProcess;
 
-fn repo_path(parts: &[&str]) -> PathBuf {
-    let mut path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests");
-    for part in parts {
-        path.push(part);
-    }
-    path
-}
-
-/// Reads the golden, or rewrites it when `NIMBLOCK_REGEN_GOLDENS` is set.
-fn golden(name: &str, fresh: &str) -> String {
-    let path = repo_path(&["goldens", name]);
-    if std::env::var("NIMBLOCK_REGEN_GOLDENS").is_ok() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, fresh).unwrap();
-    }
-    std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "cannot read {} ({e}); regenerate with NIMBLOCK_REGEN_GOLDENS=1",
-            path.display()
-        )
-    })
-}
+mod support;
+use support::golden;
 
 /// The deterministic overloaded run behind the golden.
 fn golden_config(threads: usize) -> FrontDoorConfig {

@@ -16,36 +16,19 @@
 //! NIMBLOCK_REGEN_GOLDENS=1 cargo test -q --test golden_roundtrip
 //! ```
 
-use std::path::PathBuf;
-
 use nimblock::core::{NimblockScheduler, Testbed, Trace};
 use nimblock::metrics::Report;
 use nimblock::sim::SimDuration;
 use nimblock::workload::fixed_batch_sequence;
+
+mod support;
+use support::golden;
 
 /// The deterministic stimulus behind every golden: seed 7, 3 events,
 /// batch 2, 100 ms spacing.
 fn run() -> (Report, Trace) {
     let events = fixed_batch_sequence(7, 3, 2, SimDuration::from_millis(100));
     Testbed::new(NimblockScheduler::default()).run_traced(&events)
-}
-
-fn golden_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests")
-        .join("goldens")
-        .join(name)
-}
-
-/// Reads the golden, or rewrites it when `NIMBLOCK_REGEN_GOLDENS` is set.
-fn golden(name: &str, fresh: &str) -> String {
-    let path = golden_path(name);
-    if std::env::var("NIMBLOCK_REGEN_GOLDENS").is_ok() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, fresh).unwrap();
-    }
-    std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("cannot read {} ({e}); regenerate with NIMBLOCK_REGEN_GOLDENS=1", path.display()))
 }
 
 #[test]

@@ -15,14 +15,15 @@
 //! time and therefore differs between runs by design. The exclusion is
 //! sample-lines-only; its HELP/TYPE header stays under golden control.
 
-use std::path::PathBuf;
-
 use nimblock::core::{NimblockScheduler, Testbed, Trace};
 use nimblock::metrics::Report;
 use nimblock::obs::Registry;
 use nimblock::sim::SimDuration;
 use nimblock::workload::fixed_batch_sequence;
 use nimblock_check::{check, prop_assert, prop_assert_eq};
+
+mod support;
+use support::golden;
 
 /// The deterministic instrumented run behind both goldens.
 fn run() -> (Registry, Report, Trace) {
@@ -32,28 +33,6 @@ fn run() -> (Registry, Report, Trace) {
         .with_metrics(registry.clone())
         .run_traced(&events);
     (registry, report, trace)
-}
-
-fn golden_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests")
-        .join("goldens")
-        .join(name)
-}
-
-/// Reads the golden, or rewrites it when `NIMBLOCK_REGEN_GOLDENS` is set.
-fn golden(name: &str, fresh: &str) -> String {
-    let path = golden_path(name);
-    if std::env::var("NIMBLOCK_REGEN_GOLDENS").is_ok() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, fresh).unwrap();
-    }
-    std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "cannot read {} ({e}); regenerate with NIMBLOCK_REGEN_GOLDENS=1",
-            path.display()
-        )
-    })
 }
 
 /// Drops the sample lines of the wall-clock decision-latency series (they
