@@ -216,10 +216,10 @@ pub struct TaskGraph {
     levels: Vec<u32>,
 }
 
-// The derived fields are written for readers of the file, but decoding
-// rebuilds them from `tasks` and `edges`: a file cannot hand the
-// estimator a cyclic graph or a `topo` that is not topological.
-impl_to_json_struct!(TaskGraph { tasks, edges, preds, succs, topo, levels });
+// Only `tasks` and `edges` are written. Decoding rebuilds every derived
+// field from them and ignores any a file carries, so a file cannot hand
+// the estimator a cyclic graph or a `topo` that is not topological.
+impl_to_json_struct!(TaskGraph { tasks, edges });
 
 impl FromJson for TaskGraph {
     fn from_json(v: &Json) -> Result<Self, JsonError> {

@@ -1,9 +1,8 @@
 //! Engine hot-path benchmark and regression gate.
 //!
-//! Measurement mode (default) times the simulator's per-event cost on both
-//! event-queue backends — the calendar queue and the retired binary heap —
-//! across a queue-only churn scenario and a full hypervisor stress run,
-//! then writes `results/BENCH_engine.json`:
+//! Measurement mode (default) times the simulator's per-event cost across a
+//! queue-only churn scenario and a full hypervisor stress run, then writes
+//! `results/BENCH_engine.json`:
 //!
 //! ```text
 //! cargo run --release --bin engine_hot_path
@@ -11,7 +10,7 @@
 //! ```
 //!
 //! Gate mode re-measures with a committed baseline's workload and exits
-//! nonzero if any (scenario, backend) row regresses beyond the tolerance
+//! nonzero if any scenario's row regresses beyond the tolerance
 //! (wired into CI by `scripts/bench_gate.sh`):
 //!
 //! ```text
@@ -123,16 +122,11 @@ fn main() -> ExitCode {
     let fresh = measure(&options.config);
     for m in &fresh.measurements {
         println!(
-            "  {:<18} {:<12} {:>10} events  wall={:>8.3}s  {:>12.1} events/s",
-            m.scenario, m.backend, m.events, m.wall_secs, m.events_per_sec
+            "  {:<18} {:>10} events  wall={:>8.3}s  {:>12.1} events/s",
+            m.scenario, m.events, m.wall_secs, m.events_per_sec
         );
     }
-    for scenario in ["queue-churn", "hypervisor-stress"] {
-        if let Some(speedup) = fresh.speedup(scenario) {
-            println!("  {scenario}: calendar is {speedup:.1}x the legacy heap");
-        }
-    }
-    if let Some(eps) = fresh.events_per_sec("hypervisor-stress", "calendar") {
+    if let Some(eps) = fresh.events_per_sec("hypervisor-stress") {
         println!(
             "  hypervisor-stress: {:.0}x the pre-overhaul {} events/s pipeline",
             eps / SEED_BASELINE_EPS,

@@ -1,22 +1,21 @@
-//! Engine hot-path benchmark: simulator events/sec on the calendar event
-//! queue versus the retired binary-heap backend, plus its regression gate.
+//! Engine hot-path benchmark: simulator events/sec on the event queue,
+//! plus its regression gate.
 //!
 //! Two scenarios bracket the hot path (DESIGN.md §14):
 //!
-//! * **queue-churn** — a synthetic handler that keeps a fixed population of
-//!   event chains in flight, each reschedule drawing a pseudo-random delay
-//!   that straddles the calendar's near window, so pushes land in ring
-//!   buckets *and* the far-future heap. This isolates the queue itself.
+//! * **queue-churn** — a synthetic handler that keeps a fixed population
+//!   of event chains in flight (8 192 by default), each reschedule drawing
+//!   a pseudo-random delay of up to four 524 288 µs spans. This isolates
+//!   the queue itself, at a population far above anything the hypervisor
+//!   keeps pending.
 //! * **hypervisor-stress** — a full single-board Nimblock run over a
-//!   congested stimulus, built exactly like the production testbed but with
-//!   an explicit queue backend. This measures the end-to-end per-event
-//!   cost: queue, arena-indexed hypervisor tables, and scheduler
-//!   decisions together.
+//!   congested stimulus, built exactly like the production testbed. This
+//!   measures the end-to-end per-event cost: queue, arena-indexed
+//!   hypervisor tables, and scheduler decisions together.
 //!
-//! Both backends run the same workload; the report
-//! (`results/BENCH_engine.json`) is seed-stamped and records events/sec
-//! per (scenario, backend) with the calendar's speedup over the heap and
-//! over [`SEED_BASELINE_EPS`], the pre-overhaul whole-pipeline figure.
+//! The report (`results/BENCH_engine.json`) is seed-stamped and records
+//! events/sec per scenario beside [`SEED_BASELINE_EPS`], the pre-overhaul
+//! whole-pipeline figure.
 //! [`engine_gate_compare`] holds future runs to the recorded numbers the
 //! same way the cluster gate does (`scripts/bench_gate.sh`).
 
@@ -29,19 +28,21 @@ use nimblock_ser::impl_json_struct;
 use nimblock_sim::{EventQueue, Handler, SimDuration, SimTime, Simulation};
 use nimblock_workload::{generate, Scenario};
 
-/// Events/sec of the simulation pipeline before the calendar-queue and
-/// arena overhaul, measured on the same container class that runs CI. The
+/// Events/sec of the simulation pipeline before the event-queue and arena
+/// overhaul, measured on the same container class that runs CI. The
 /// acceptance bar for the overhaul is ≥10× this figure on the
 /// hypervisor-stress scenario.
 pub const SEED_BASELINE_EPS: f64 = 2_000.0;
 
-/// One (scenario, backend) sample.
+/// Base of the queue-churn delays, in microseconds: most reschedules land
+/// within one span, every 16th one to four spans out.
+const CHURN_SPAN_MICROS: u64 = 524_288;
+
+/// One scenario's sample.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineMeasurement {
     /// `"queue-churn"` or `"hypervisor-stress"`.
     pub scenario: String,
-    /// `"calendar"` or `"legacy-heap"`.
-    pub backend: String,
     /// Simulator events processed per pass.
     pub events: u64,
     /// Best-of-repeats wall-clock, seconds.
@@ -51,7 +52,6 @@ pub struct EngineMeasurement {
 }
 impl_json_struct!(EngineMeasurement {
     scenario,
-    backend,
     events,
     wall_secs,
     events_per_sec
@@ -68,7 +68,7 @@ pub struct EngineReport {
     pub host_cpus: usize,
     /// The pre-overhaul whole-pipeline figure the speedup claim is against.
     pub baseline_events_per_sec: f64,
-    /// One row per (scenario, backend).
+    /// One row per scenario.
     pub measurements: Vec<EngineMeasurement>,
 }
 impl_json_struct!(EngineReport {
@@ -80,19 +80,12 @@ impl_json_struct!(EngineReport {
 });
 
 impl EngineReport {
-    /// Events/sec of a (scenario, backend) row, if present.
-    pub fn events_per_sec(&self, scenario: &str, backend: &str) -> Option<f64> {
+    /// Events/sec of a scenario's row, if present.
+    pub fn events_per_sec(&self, scenario: &str) -> Option<f64> {
         self.measurements
             .iter()
-            .find(|m| m.scenario == scenario && m.backend == backend)
+            .find(|m| m.scenario == scenario)
             .map(|m| m.events_per_sec)
-    }
-
-    /// Calendar-over-heap speedup for a scenario, if both rows are present.
-    pub fn speedup(&self, scenario: &str) -> Option<f64> {
-        let calendar = self.events_per_sec(scenario, "calendar")?;
-        let legacy = self.events_per_sec(scenario, "legacy-heap")?;
-        Some(calendar / legacy)
     }
 }
 
@@ -124,9 +117,7 @@ impl Default for EngineConfig {
 }
 
 /// The queue-churn handler: every event reschedules itself after a
-/// pseudo-random delay until the budget runs out. Delays span four near
-/// windows, so a steady fraction of pushes overflows to the far heap and
-/// the window rolls over thousands of times per pass.
+/// pseudo-random delay until the budget runs out.
 struct Churn {
     remaining: u64,
     rng: Prng,
@@ -139,10 +130,9 @@ impl Handler<u64> for Churn {
         }
         self.remaining -= 1;
         // Mostly-near delays model a busy board (items, ticks, retires all
-        // land within the scheduling horizon); every 16th event jumps past
-        // the window so the far-future heap and window rollover stay on the
-        // measured path.
-        let span = EventQueue::<u64>::CALENDAR_SPAN_MICROS;
+        // land within the scheduling horizon); every 16th event jumps far
+        // ahead, so the queue also holds a long tail of distant events.
+        let span = CHURN_SPAN_MICROS;
         let delay = if self.rng.gen_bool(1.0 / 16.0) {
             self.rng.gen_range(span..=4 * span)
         } else {
@@ -152,21 +142,13 @@ impl Handler<u64> for Churn {
     }
 }
 
-fn queue_for<E>(legacy: bool) -> EventQueue<E> {
-    if legacy {
-        EventQueue::legacy_heap()
-    } else {
-        EventQueue::new()
-    }
-}
-
 /// Runs one queue-churn pass; returns (events processed, wall seconds).
-fn run_churn(config: &EngineConfig, legacy: bool) -> (u64, f64) {
+fn run_churn(config: &EngineConfig) -> (u64, f64) {
     let handler = Churn {
         remaining: config.churn_events,
         rng: Prng::seed_from_u64(config.seed),
     };
-    let mut sim = Simulation::with_queue(handler, queue_for(legacy));
+    let mut sim = Simulation::new(handler);
     for chain in 0..config.churn_population as u64 {
         sim.queue_mut().push(SimTime::from_micros(1 + chain), chain);
     }
@@ -177,8 +159,8 @@ fn run_churn(config: &EngineConfig, legacy: bool) -> (u64, f64) {
 }
 
 /// Runs one hypervisor-stress pass; returns (events processed, wall
-/// seconds). Mirrors the production testbed wiring with an explicit queue.
-fn run_stress(config: &EngineConfig, legacy: bool) -> (u64, f64) {
+/// seconds). Mirrors the production testbed wiring.
+fn run_stress(config: &EngineConfig) -> (u64, f64) {
     let events = generate(config.seed, config.stress_events, Scenario::Stress);
     let tick = SimDuration::from_millis(nimblock_fpga::zcu106::SCHEDULING_INTERVAL_MILLIS);
     let hypervisor = Hypervisor::new(
@@ -187,7 +169,7 @@ fn run_stress(config: &EngineConfig, legacy: bool) -> (u64, f64) {
         events.events().to_vec(),
     )
     .with_tick_interval(tick);
-    let mut sim = Simulation::with_queue(hypervisor, queue_for(legacy));
+    let mut sim = Simulation::new(hypervisor);
     for (index, event) in events.iter().enumerate() {
         sim.queue_mut().push(event.arrival(), HvEvent::Arrival(index));
     }
@@ -210,27 +192,20 @@ fn best_of(repeats: usize, mut pass: impl FnMut() -> (u64, f64)) -> (u64, f64) {
     best.expect("at least one pass")
 }
 
-/// Runs the full measurement: both scenarios on both backends.
+/// Runs the full measurement: both scenarios.
 pub fn measure(config: &EngineConfig) -> EngineReport {
-    let mut measurements = Vec::with_capacity(4);
-    for (scenario, legacy) in [
-        ("queue-churn", false),
-        ("queue-churn", true),
-        ("hypervisor-stress", false),
-        ("hypervisor-stress", true),
-    ] {
-        let (events, wall_secs) = match scenario {
-            "queue-churn" => best_of(config.repeats, || run_churn(config, legacy)),
-            _ => best_of(config.repeats, || run_stress(config, legacy)),
-        };
-        measurements.push(EngineMeasurement {
-            scenario: scenario.to_owned(),
-            backend: if legacy { "legacy-heap" } else { "calendar" }.to_owned(),
-            events,
-            wall_secs,
-            events_per_sec: events as f64 / wall_secs,
-        });
-    }
+    let measurements = [
+        ("queue-churn", best_of(config.repeats, || run_churn(config))),
+        ("hypervisor-stress", best_of(config.repeats, || run_stress(config))),
+    ]
+    .into_iter()
+    .map(|(scenario, (events, wall_secs))| EngineMeasurement {
+        scenario: scenario.to_owned(),
+        events,
+        wall_secs,
+        events_per_sec: events as f64 / wall_secs,
+    })
+    .collect();
     EngineReport {
         experiment: "engine_hot_path".to_owned(),
         seed: config.seed,
@@ -241,8 +216,7 @@ pub fn measure(config: &EngineConfig) -> EngineReport {
 }
 
 /// Compares a fresh engine measurement against the committed baseline,
-/// with the same pass rule as the cluster gate: a (scenario, backend) row
-/// passes when `fresh_eps >= (1 - tolerance) * baseline_eps`; a vanished
+/// with the same pass rule as the cluster gate: a scenario's row passes when `fresh_eps >= (1 - tolerance) * baseline_eps`; a vanished
 /// row fails; improvements always pass. Returns the rendered delta table
 /// and the overall verdict.
 pub fn engine_gate_compare(
@@ -251,9 +225,8 @@ pub fn engine_gate_compare(
     tolerance: f64,
 ) -> (String, bool) {
     let mut out = format!(
-        "{:>18} {:>12} {:>14} {:>14} {:>9}  verdict (tolerance {:.0}%)\n",
+        "{:>18} {:>14} {:>14} {:>9}  verdict (tolerance {:.0}%)\n",
         "scenario",
-        "backend",
         "base ev/s",
         "fresh ev/s",
         "delta",
@@ -261,7 +234,7 @@ pub fn engine_gate_compare(
     );
     let mut pass = true;
     for base in &baseline.measurements {
-        let matched = fresh.events_per_sec(&base.scenario, &base.backend);
+        let matched = fresh.events_per_sec(&base.scenario);
         let (fresh_text, delta_pct, ok) = match matched {
             Some(eps) => (
                 format!("{eps:.1}"),
@@ -272,9 +245,8 @@ pub fn engine_gate_compare(
         };
         pass &= ok;
         out.push_str(&format!(
-            "{:>18} {:>12} {:>14.1} {:>14} {:>+8.1}%  {}\n",
+            "{:>18} {:>14.1} {:>14} {:>+8.1}%  {}\n",
             base.scenario,
-            base.backend,
             base.events_per_sec,
             fresh_text,
             delta_pct,
@@ -288,7 +260,7 @@ pub fn engine_gate_compare(
 mod tests {
     use super::*;
 
-    fn report(rows: &[(&str, &str, f64)]) -> EngineReport {
+    fn report(rows: &[(&str, f64)]) -> EngineReport {
         EngineReport {
             experiment: "engine_hot_path".to_owned(),
             seed: 1,
@@ -296,9 +268,8 @@ mod tests {
             baseline_events_per_sec: SEED_BASELINE_EPS,
             measurements: rows
                 .iter()
-                .map(|&(scenario, backend, eps)| EngineMeasurement {
+                .map(|&(scenario, eps)| EngineMeasurement {
                     scenario: scenario.to_owned(),
-                    backend: backend.to_owned(),
                     events: 1000,
                     wall_secs: 1.0,
                     events_per_sec: eps,
@@ -309,43 +280,37 @@ mod tests {
 
     #[test]
     fn engine_report_roundtrips_through_json() {
-        let original = report(&[("queue-churn", "calendar", 1e6), ("queue-churn", "legacy-heap", 2e5)]);
+        let original = report(&[("queue-churn", 1e6), ("hypervisor-stress", 2e5)]);
         let text = nimblock_ser::to_string_pretty(&original);
         let parsed: EngineReport = nimblock_ser::from_str(&text).unwrap();
         assert_eq!(parsed, original);
-        assert_eq!(parsed.speedup("queue-churn"), Some(5.0));
+        assert_eq!(parsed.events_per_sec("hypervisor-stress"), Some(2e5));
     }
 
     #[test]
     fn engine_gate_tolerance_boundary_is_inclusive() {
         // The pass rule is `fresh >= (1 - tolerance) * baseline`: exactly
         // 15% down passes at 15% tolerance, an epsilon below it fails.
-        let baseline = report(&[("queue-churn", "calendar", 1000.0)]);
-        let at_edge = report(&[("queue-churn", "calendar", 850.0)]);
-        let below = report(&[("queue-churn", "calendar", 849.9)]);
+        let baseline = report(&[("queue-churn", 1000.0)]);
+        let at_edge = report(&[("queue-churn", 850.0)]);
+        let below = report(&[("queue-churn", 849.9)]);
         assert!(engine_gate_compare(&baseline, &at_edge, 0.15).1);
         assert!(!engine_gate_compare(&baseline, &below, 0.15).1);
     }
 
     #[test]
     fn engine_gate_fails_on_missing_rows_and_passes_on_improvement() {
-        let baseline = report(&[
-            ("queue-churn", "calendar", 1000.0),
-            ("hypervisor-stress", "calendar", 1000.0),
-        ]);
-        let improved = report(&[
-            ("queue-churn", "calendar", 5000.0),
-            ("hypervisor-stress", "calendar", 1001.0),
-        ]);
+        let baseline = report(&[("queue-churn", 1000.0), ("hypervisor-stress", 1000.0)]);
+        let improved = report(&[("queue-churn", 5000.0), ("hypervisor-stress", 1001.0)]);
         assert!(engine_gate_compare(&baseline, &improved, 0.15).1);
-        let missing = report(&[("queue-churn", "calendar", 1000.0)]);
+        let missing = report(&[("queue-churn", 1000.0)]);
         let (table, pass) = engine_gate_compare(&baseline, &missing, 0.15);
         assert!(!pass);
         assert!(table.contains("missing"), "{table}");
     }
 
     #[test]
-    fn a_small_measurement_covers_all_four_rows() {
+    fn a_small_measurement_covers_both_rows() {
         let config = EngineConfig {
             churn_events: 20_000,
             churn_population: 16,
@@ -354,12 +319,10 @@ mod tests {
             seed: crate::BASE_SEED,
         };
         let report = measure(&config);
-        assert_eq!(report.measurements.len(), 4);
+        assert_eq!(report.measurements.len(), 2);
         for scenario in ["queue-churn", "hypervisor-stress"] {
-            for backend in ["calendar", "legacy-heap"] {
-                let eps = report.events_per_sec(scenario, backend);
-                assert!(eps.is_some_and(|e| e > 0.0), "{scenario}/{backend}: {eps:?}");
-            }
+            let eps = report.events_per_sec(scenario);
+            assert!(eps.is_some_and(|e| e > 0.0), "{scenario}: {eps:?}");
         }
     }
 }

@@ -131,3 +131,26 @@ fn analyze_trace_reports_an_unknown_task_as_a_violation() {
     let stderr = String::from_utf8(out.stderr).unwrap();
     assert!(stderr.starts_with("error: trace violates"), "{stderr}");
 }
+
+/// The token-leak trace re-declared with a batch of 10⁶ leaves nearly
+/// three million items unconsumed. `analyze trace` still exits 1 promptly
+/// and lists at most 65 token-conservation lines per task: the first 64
+/// items, then one line counting the rest.
+#[test]
+fn analyze_trace_bounds_the_report_of_a_huge_declared_batch() {
+    let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/fixtures/token_leak.json");
+    let text = std::fs::read_to_string(fixture).unwrap();
+    assert_eq!(text.matches("\"batch\": 2,").count(), 1, "one arrival of batch 2");
+    let dir = std::env::temp_dir().join(format!("nimblock-cli-batch-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join("token_leak_1e6.json");
+    std::fs::write(&trace, text.replace("\"batch\": 2,", "\"batch\": 1000000,")).unwrap();
+    let out = cli().args(["analyze", "trace", trace.to_str().unwrap()]).output().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(out.status.code(), Some(1), "{}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(stdout.len() < 64 * 1024, "{} bytes of report", stdout.len());
+    assert_eq!(stdout.matches("token-conservation").count(), 195, "{stdout}");
+    assert!(stdout.contains("and 999934 more items of task#0 of app#0"), "{stdout}");
+    assert!(stdout.contains("and 999935 more items of task#2 of app#0"), "{stdout}");
+}

@@ -113,7 +113,6 @@ pub struct ClusterTestbed<F> {
     tracing: bool,
     metrics: Option<nimblock_obs::Registry>,
     monitor: Option<nimblock_obs::MonitorConfig>,
-    legacy_queue: bool,
 }
 
 impl<S, F> ClusterTestbed<F>
@@ -143,17 +142,7 @@ where
             tracing: false,
             metrics: None,
             monitor: None,
-            legacy_queue: false,
         }
-    }
-
-    /// Runs every board on the retired binary-heap event queue instead of
-    /// the calendar queue; differential-suite use only (see the
-    /// `legacy-queue` feature).
-    #[cfg(feature = "legacy-queue")]
-    pub fn with_legacy_queue(mut self) -> Self {
-        self.legacy_queue = true;
-        self
     }
 
     /// Sets how many worker threads simulate boards in parallel.
@@ -246,7 +235,6 @@ where
         let tracing = self.tracing;
         let sharded = self.metrics.is_some();
         let monitor_config = &self.monitor;
-        let legacy_queue = self.legacy_queue;
         let jobs: Vec<_> = board_events
             .into_iter()
             .enumerate()
@@ -263,7 +251,6 @@ where
                         tracing,
                         sharded,
                         monitor_config.clone(),
-                        legacy_queue,
                     )
                 }
             })
@@ -361,7 +348,6 @@ fn run_board<S: Scheduler>(
     tracing: bool,
     sharded: bool,
     monitor_config: Option<nimblock_obs::MonitorConfig>,
-    legacy_queue: bool,
 ) -> BoardOutcome {
     let shard = sharded.then(nimblock_obs::Registry::new);
     if let Some(shard) = &shard {
@@ -388,12 +374,7 @@ fn run_board<S: Scheduler>(
     if tracing {
         hypervisor = hypervisor.with_tracing();
     }
-    let queue = if legacy_queue {
-        nimblock_sim::EventQueue::legacy_heap()
-    } else {
-        nimblock_sim::EventQueue::new()
-    };
-    let mut sim = Simulation::with_queue(hypervisor, queue);
+    let mut sim = Simulation::new(hypervisor);
     for (local, at) in arrivals.iter().enumerate() {
         sim.queue_mut().push(*at, HvEvent::Arrival(local));
     }

@@ -423,9 +423,6 @@ impl<S: Scheduler> Hypervisor<S> {
         }
         self.metrics.items.inc();
         self.device.finish_execution(slot);
-        if let Some(monitor) = &self.monitor {
-            monitor.with(|m| m.on_item_done(slot.index()));
-        }
         let runtime = self.apps.get_mut(app).expect("running app is live");
         debug_assert_eq!(runtime.phases[task.index()], TaskPhase::Running(slot));
         runtime.item_progress[task.index()] = nimblock_sim::SimDuration::ZERO;

@@ -647,6 +647,12 @@ pub fn verify_hardware(trace: &Trace) -> Vec<Violation> {
 // Pass B: event-ordered replay for the stateful rules.
 // ---------------------------------------------------------------------------
 
+/// Token-conservation violations reported item by item for one
+/// `(application, task)` at retirement; any further items not consumed
+/// exactly once are counted in one summary violation. Above the paper's
+/// largest batch (30), so every hypervisor trace reports every item.
+const ITEM_VIOLATIONS_PER_TASK: u32 = 64;
+
 /// One benchmark of the catalog, with its tasks' topological positions.
 struct Benchmark {
     spec: AppSpec,
@@ -1239,14 +1245,22 @@ impl<'a> Replay<'a> {
                 );
                 continue;
             }
+            // `batch` comes from the trace, so the walk stops after the
+            // listed items: each step consumes a completion or lists an
+            // item, and the rest are counted from the completions alone.
             let mut next = 0;
+            let mut listed = 0;
             for item in 0..batch {
+                if listed == ITEM_VIOLATIONS_PER_TASK {
+                    break;
+                }
                 let first = next;
                 while items.get(next) == Some(&item) {
                     next += 1;
                 }
                 let count = next - first;
                 if count != 1 {
+                    listed += 1;
                     out.push(
                         Violation::new(
                             InvariantRule::TokenConservation,
@@ -1259,6 +1273,27 @@ impl<'a> Replay<'a> {
                         .for_app(id),
                     );
                 }
+            }
+            let mut consumed = 0;
+            let mut repeated = 0;
+            for run in items.chunk_by(|a, b| a == b) {
+                consumed += 1;
+                repeated += u32::from(run.len() > 1);
+            }
+            let unlisted = batch - consumed + repeated - listed;
+            if unlisted > 0 {
+                let (noun, verb) = if unlisted == 1 { ("item", "was") } else { ("items", "were") };
+                out.push(
+                    Violation::new(
+                        InvariantRule::TokenConservation,
+                        at,
+                        format!(
+                            "… and {unlisted} more {noun} of {task} of {id} {verb} not consumed \
+                             exactly once"
+                        ),
+                    )
+                    .for_app(id),
+                );
             }
         }
         self.items = items;
@@ -1481,6 +1516,33 @@ mod tests {
         let report = verify_trace(&trace, &InvariantConfig::mechanism_only());
         let tokens = report.of_rule(InvariantRule::TokenConservation);
         assert!(tokens.len() >= 2, "{report}");
+    }
+
+    #[test]
+    fn token_rule_lists_64_items_per_task_then_counts_the_rest() {
+        for (batch, summary) in [
+            (64, None),
+            (65, Some("… and 1 more item of task#0 of app#0 was not consumed exactly once")),
+            (66, Some("… and 2 more items of task#0 of app#0 were not consumed exactly once")),
+        ] {
+            let mut trace = Trace::with_slots(1);
+            trace.record(arrival(0, "LeNet", batch, Priority::Low, 0));
+            trace.record(reconfig(0, 0, 0, 0, 80));
+            // Item 0 twice, every other item never.
+            trace.record(item(0, 0, 0, 0, 80, 140));
+            trace.record(item(0, 0, 0, 0, 140, 200));
+            trace.record(retire(0, 200));
+            let report = verify_trace(&trace, &InvariantConfig::mechanism_only());
+            let task0: Vec<&str> = report
+                .of_rule(InvariantRule::TokenConservation)
+                .into_iter()
+                .map(|v| v.message.as_str())
+                .filter(|message| message.contains("task#0"))
+                .collect();
+            assert_eq!(task0.len(), 64 + usize::from(summary.is_some()), "{report}");
+            assert!(task0[0].starts_with("work token for item 0 of task#0 of app#0 was consumed 2"));
+            assert_eq!(task0.get(64).copied(), summary, "{report}");
+        }
     }
 
     #[test]

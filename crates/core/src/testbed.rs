@@ -34,7 +34,6 @@ pub struct Testbed<S> {
     fine_checkpoint: Option<SimDuration>,
     metrics: Option<nimblock_obs::Registry>,
     monitor: Option<nimblock_obs::MonitorHandle>,
-    legacy_queue: bool,
 }
 
 /// Default livelock horizon: far beyond any legitimate sequence length
@@ -57,7 +56,6 @@ impl<S: Scheduler> Testbed<S> {
             fine_checkpoint: None,
             metrics: None,
             monitor: None,
-            legacy_queue: false,
         }
     }
 
@@ -68,16 +66,6 @@ impl<S: Scheduler> Testbed<S> {
     /// finalizes the window series at the run's finish time.
     pub fn with_monitor(mut self, monitor: nimblock_obs::MonitorHandle) -> Self {
         self.monitor = Some(monitor);
-        self
-    }
-
-    /// Runs the simulation on the retired binary-heap event queue instead
-    /// of the calendar queue. Exists solely so the differential suites can
-    /// assert both backends produce byte-identical reports; a run's outcome
-    /// never depends on the backend.
-    #[cfg(feature = "legacy-queue")]
-    pub fn with_legacy_queue(mut self) -> Self {
-        self.legacy_queue = true;
         self
     }
 
@@ -220,12 +208,7 @@ impl<S: Scheduler> Testbed<S> {
         if tracing {
             hypervisor = hypervisor.with_tracing();
         }
-        let queue = if self.legacy_queue {
-            nimblock_sim::EventQueue::legacy_heap()
-        } else {
-            nimblock_sim::EventQueue::new()
-        };
-        let mut sim = Simulation::with_queue(hypervisor, queue);
+        let mut sim = Simulation::new(hypervisor);
         for (index, event) in events.iter().enumerate() {
             sim.queue_mut().push(event.arrival(), HvEvent::Arrival(index));
         }

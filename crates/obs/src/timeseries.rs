@@ -934,15 +934,10 @@ impl MonitorState {
         }
     }
 
-    /// The item on `slot` completed as planned.
-    pub fn on_item_done(&mut self, slot: usize) {
-        if let Some(open) = self.open_until.get_mut(slot) {
-            *open = 0;
-        }
-    }
-
     /// The item on `slot` was aborted at `now` by a fine-grained
-    /// preemption: its un-executed remainder leaves the busy series.
+    /// preemption: its un-executed remainder leaves the busy series. A
+    /// completed item's span ended at or before `now`, so it subtracts
+    /// nothing; completions need no hook of their own.
     pub fn on_item_abort(&mut self, slot: usize, now: u64) {
         let Some(open) = self.open_until.get_mut(slot) else { return };
         let until = std::mem::take(open);

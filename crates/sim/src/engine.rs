@@ -45,15 +45,8 @@ pub struct Simulation<E, H> {
 impl<E, H: Handler<E>> Simulation<E, H> {
     /// Creates a simulation at time zero with an empty event queue.
     pub fn new(handler: H) -> Self {
-        Simulation::with_queue(handler, EventQueue::new())
-    }
-
-    /// Creates a simulation at time zero over a caller-supplied queue —
-    /// typically [`EventQueue::legacy_heap`] when differential-testing the
-    /// calendar backend against the original heap.
-    pub fn with_queue(handler: H, queue: EventQueue<E>) -> Self {
         Simulation {
-            queue,
+            queue: EventQueue::new(),
             handler,
             now: SimTime::ZERO,
             steps: 0,

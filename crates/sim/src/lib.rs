@@ -1,10 +1,10 @@
 //! Deterministic discrete-event simulation engine.
 //!
-//! This crate is the clock-and-calendar substrate for the Nimblock FPGA
-//! virtualization stack. The paper evaluates Nimblock on a physical ZCU106
-//! board, timing applications with the CPU clock of the embedded ARM core;
-//! this reproduction replaces the physical clock with a virtual one so that
-//! every experiment is exactly reproducible.
+//! This crate is the virtual-clock and event-queue substrate for the
+//! Nimblock FPGA virtualization stack. The paper evaluates Nimblock on a
+//! physical ZCU106 board, timing applications with the CPU clock of the
+//! embedded ARM core; this reproduction replaces the physical clock with a
+//! virtual one so that every experiment is exactly reproducible.
 //!
 //! The crate deliberately knows nothing about FPGAs or schedulers. It
 //! provides three things:
@@ -43,7 +43,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod calendar;
 mod engine;
 mod queue;
 mod time;

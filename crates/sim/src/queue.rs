@@ -3,7 +3,6 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::calendar::Calendar;
 use crate::SimTime;
 
 /// A priority queue of timestamped events.
@@ -13,13 +12,11 @@ use crate::SimTime;
 /// reproducible: a simulation driven by this queue and a deterministic
 /// handler always produces the same schedule.
 ///
-/// Two backends implement this contract. The default is a two-level
-/// calendar queue — a ring of flat, bucketed event lists over the near
-/// future plus an overflow heap for the far future — whose push and pop
-/// are O(1) amortized on the hypervisor's dense event streams (see
-/// DESIGN.md §14). [`EventQueue::legacy_heap`] builds the original
-/// `BinaryHeap` implementation, retained as the differential oracle until
-/// the calendar queue's byte-identity record lets it be deleted.
+/// The queue is a binary heap of `(time, push sequence number)` keys. The
+/// hypervisor keeps few events pending (one per busy slot, the
+/// reconfiguration port, the scheduling tick and the arrivals still to
+/// come; about a hundred at most), a population at which the heap's
+/// O(log n) push and pop beat bucketed structures (see DESIGN.md §14).
 ///
 /// # Example
 ///
@@ -38,21 +35,15 @@ use crate::SimTime;
 /// ```
 #[derive(Debug, Clone)]
 pub struct EventQueue<E> {
-    backend: Backend<E>,
+    heap: BinaryHeap<Entry<E>>,
     next_seq: u64,
 }
 
 #[derive(Debug, Clone)]
-enum Backend<E> {
-    Calendar(Calendar<E>),
-    Legacy(BinaryHeap<Entry<E>>),
-}
-
-#[derive(Debug, Clone)]
-pub(crate) struct Entry<E> {
-    pub(crate) at: SimTime,
-    pub(crate) seq: u64,
-    pub(crate) event: E,
+struct Entry<E> {
+    at: SimTime,
+    seq: u64,
+    event: E,
 }
 
 impl<E> PartialEq for Entry<E> {
@@ -80,52 +71,11 @@ impl<E> Ord for Entry<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Virtual-time width of one calendar bucket, in microseconds. Exposed
-    /// so boundary tests can aim events exactly at bucket edges.
-    pub const CALENDAR_BUCKET_MICROS: u64 = crate::calendar::BUCKET_WIDTH_MICROS;
-
-    /// Virtual-time span of the calendar's near window, in microseconds.
-    /// Events this far past the window start overflow into the far heap.
-    pub const CALENDAR_SPAN_MICROS: u64 = crate::calendar::SPAN_MICROS;
-
-    /// Creates an empty queue backed by the calendar structure.
+    /// Creates an empty queue.
     pub fn new() -> Self {
         EventQueue {
-            backend: Backend::Calendar(Calendar::new()),
+            heap: BinaryHeap::new(),
             next_seq: 0,
-        }
-    }
-
-    /// Creates an empty queue backed by the original binary heap.
-    ///
-    /// The heap backend is the differential oracle for the calendar queue
-    /// (`tests/engine_differential.rs` runs every workload through both and
-    /// asserts byte-identical output); it is not meant for production use
-    /// and goes away once the calendar queue's record justifies retiring it
-    /// (DESIGN.md §14 documents the procedure).
-    pub fn legacy_heap() -> Self {
-        EventQueue {
-            backend: Backend::Legacy(BinaryHeap::new()),
-            next_seq: 0,
-        }
-    }
-
-    /// Returns a short static name for the active backend, for bench and
-    /// telemetry labels.
-    pub fn backend_name(&self) -> &'static str {
-        match &self.backend {
-            Backend::Calendar(_) => "calendar",
-            Backend::Legacy(_) => "legacy-heap",
-        }
-    }
-
-    /// Returns `(near, far)` event counts: the calendar's in-window ring
-    /// population and its overflow heap. The legacy heap reports everything
-    /// as `far`.
-    pub fn backend_depths(&self) -> (usize, usize) {
-        match &self.backend {
-            Backend::Calendar(calendar) => calendar.depths(),
-            Backend::Legacy(heap) => (0, heap.len()),
         }
     }
 
@@ -133,13 +83,9 @@ impl<E> EventQueue<E> {
     pub fn push(&mut self, at: SimTime, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        match &mut self.backend {
-            Backend::Calendar(calendar) => calendar.push(at, seq, event),
-            // The legacy binary heap exists for differential testing of
-            // the calendar backend, not production runs; its amortized
-            // doubling is acceptable there. nimblock: allow(hot-path-no-alloc)
-            Backend::Legacy(heap) => heap.push(Entry { at, seq, event }),
-        }
+        // BinaryHeap keeps its capacity across pops, so a steady-state push
+        // does not reallocate. nimblock: allow(hot-path-no-alloc)
+        self.heap.push(Entry { at, seq, event });
     }
 
     /// Removes and returns the earliest event, or `None` if the queue is empty.
@@ -149,52 +95,29 @@ impl<E> EventQueue<E> {
 
     /// Removes and returns the earliest event if its timestamp is at or
     /// before `deadline`; `None` if the queue is empty or the earliest
-    /// event is later. The single-scan equivalent of a `peek_time` check
-    /// followed by `pop` — the shape of [`crate::Simulation::run_until`]'s
-    /// inner loop.
+    /// event is later. Equivalent to a `peek_time` check followed by
+    /// `pop` — the shape of [`crate::Simulation::run_until`]'s inner loop.
     pub fn pop_at_or_before(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
-        match &mut self.backend {
-            Backend::Calendar(calendar) => calendar.pop_at_or_before(deadline),
-            Backend::Legacy(heap) => {
-                if heap.peek().is_some_and(|entry| entry.at <= deadline) {
-                    heap.pop().map(|entry| (entry.at, entry.event))
-                } else {
-                    None
-                }
-            }
+        if self.heap.peek().is_some_and(|entry| entry.at <= deadline) {
+            self.heap.pop().map(|entry| (entry.at, entry.event))
+        } else {
+            None
         }
     }
 
     /// Returns the timestamp of the earliest pending event without removing it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        match &self.backend {
-            Backend::Calendar(calendar) => calendar.peek_time(),
-            Backend::Legacy(heap) => heap.peek().map(|entry| entry.at),
-        }
+        self.heap.peek().map(|entry| entry.at)
     }
 
     /// Returns the number of pending events.
     pub fn len(&self) -> usize {
-        match &self.backend {
-            Backend::Calendar(calendar) => calendar.len(),
-            Backend::Legacy(heap) => heap.len(),
-        }
+        self.heap.len()
     }
 
     /// Returns `true` if no events are pending.
     pub fn is_empty(&self) -> bool {
-        match &self.backend {
-            Backend::Calendar(calendar) => calendar.is_empty(),
-            Backend::Legacy(heap) => heap.is_empty(),
-        }
-    }
-
-    /// Removes all pending events.
-    pub fn clear(&mut self) {
-        match &mut self.backend {
-            Backend::Calendar(calendar) => calendar.clear(),
-            Backend::Legacy(heap) => heap.clear(),
-        }
+        self.heap.is_empty()
     }
 }
 
@@ -204,148 +127,76 @@ impl<E> Default for EventQueue<E> {
     }
 }
 
-impl<E> Extend<(SimTime, E)> for EventQueue<E> {
-    fn extend<I: IntoIterator<Item = (SimTime, E)>>(&mut self, iter: I) {
-        for (at, event) in iter {
-            self.push(at, event);
-        }
-    }
-}
-
-impl<E> FromIterator<(SimTime, E)> for EventQueue<E> {
-    fn from_iter<I: IntoIterator<Item = (SimTime, E)>>(iter: I) -> Self {
-        let mut queue = EventQueue::new();
-        queue.extend(iter);
-        queue
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn both_backends() -> [EventQueue<i32>; 2] {
-        [EventQueue::new(), EventQueue::legacy_heap()]
-    }
-
     #[test]
     fn pops_in_time_order() {
-        for mut queue in both_backends() {
-            queue.push(SimTime::from_millis(30), 3);
-            queue.push(SimTime::from_millis(10), 1);
-            queue.push(SimTime::from_millis(20), 2);
-            let order: Vec<i32> = std::iter::from_fn(|| queue.pop().map(|(_, e)| e)).collect();
-            assert_eq!(order, vec![1, 2, 3], "backend {}", queue.backend_name());
-        }
+        let mut queue = EventQueue::new();
+        queue.push(SimTime::from_millis(30), 3);
+        queue.push(SimTime::from_millis(10), 1);
+        queue.push(SimTime::from_millis(20), 2);
+        let order: Vec<i32> = std::iter::from_fn(|| queue.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, vec![1, 2, 3]);
     }
 
     #[test]
     fn same_timestamp_is_fifo() {
-        for mut queue in both_backends() {
-            let t = SimTime::from_millis(5);
-            for i in 0..100 {
-                queue.push(t, i);
-            }
-            let order: Vec<i32> = std::iter::from_fn(|| queue.pop().map(|(_, e)| e)).collect();
-            assert_eq!(
-                order,
-                (0..100).collect::<Vec<_>>(),
-                "backend {}",
-                queue.backend_name()
-            );
+        let mut queue = EventQueue::new();
+        let t = SimTime::from_millis(5);
+        for i in 0..100 {
+            queue.push(t, i);
         }
+        let order: Vec<i32> = std::iter::from_fn(|| queue.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, (0..100).collect::<Vec<_>>());
     }
 
     #[test]
     fn peek_time_does_not_remove() {
-        for mut queue in both_backends() {
-            queue.push(SimTime::from_millis(7), 0);
-            assert_eq!(queue.peek_time(), Some(SimTime::from_millis(7)));
-            assert_eq!(queue.len(), 1);
-        }
-    }
-
-    #[test]
-    fn clear_empties_the_queue() {
-        for mut queue in both_backends() {
-            queue.push(SimTime::ZERO, 0);
-            queue.clear();
-            assert!(queue.is_empty());
-            assert_eq!(queue.pop(), None);
-        }
-    }
-
-    #[test]
-    fn collects_from_iterator() {
-        let queue: EventQueue<u8> = vec![
-            (SimTime::from_millis(2), 2),
-            (SimTime::from_millis(1), 1),
-        ]
-        .into_iter()
-        .collect();
-        assert_eq!(queue.len(), 2);
-        assert_eq!(queue.peek_time(), Some(SimTime::from_millis(1)));
+        let mut queue = EventQueue::new();
+        queue.push(SimTime::from_millis(7), 0);
+        assert_eq!(queue.peek_time(), Some(SimTime::from_millis(7)));
+        assert_eq!(queue.len(), 1);
     }
 
     #[test]
     fn fifo_survives_interleaved_pops() {
-        for mut queue in [
-            EventQueue::<char>::new(),
-            EventQueue::<char>::legacy_heap(),
-        ] {
-            let t = SimTime::from_millis(1);
-            queue.push(t, 'a');
-            queue.push(t, 'b');
-            assert_eq!(queue.pop(), Some((t, 'a')));
-            queue.push(t, 'c');
-            assert_eq!(queue.pop(), Some((t, 'b')));
-            assert_eq!(queue.pop(), Some((t, 'c')));
-        }
+        let mut queue = EventQueue::new();
+        let t = SimTime::from_millis(1);
+        queue.push(t, 'a');
+        queue.push(t, 'b');
+        assert_eq!(queue.pop(), Some((t, 'a')));
+        queue.push(t, 'c');
+        assert_eq!(queue.pop(), Some((t, 'b')));
+        assert_eq!(queue.pop(), Some((t, 'c')));
     }
 
     #[test]
     fn pop_at_or_before_respects_the_deadline() {
-        for mut queue in both_backends() {
-            queue.push(SimTime::from_millis(5), 5);
-            queue.push(SimTime::from_millis(10), 10);
-            assert_eq!(
-                queue.pop_at_or_before(SimTime::from_millis(4)),
-                None,
-                "backend {}",
-                queue.backend_name()
-            );
-            assert_eq!(
-                queue.pop_at_or_before(SimTime::from_millis(5)),
-                Some((SimTime::from_millis(5), 5))
-            );
-            assert_eq!(queue.pop_at_or_before(SimTime::from_millis(5)), None);
-            assert_eq!(queue.len(), 1);
-        }
-    }
-
-    #[test]
-    fn push_below_the_window_still_pops_first() {
-        // A pop at a high timestamp slides the calendar window forward;
-        // a later push below the window (legal: only pushes before *popped*
-        // time are the handler's bug to avoid) must still pop first.
-        for mut queue in both_backends() {
-            queue.push(SimTime::from_secs(100), 1);
-            assert_eq!(queue.pop(), Some((SimTime::from_secs(100), 1)));
-            queue.push(SimTime::from_secs(1), 2);
-            queue.push(SimTime::from_secs(200), 3);
-            assert_eq!(queue.pop(), Some((SimTime::from_secs(1), 2)));
-            assert_eq!(queue.pop(), Some((SimTime::from_secs(200), 3)));
-        }
-    }
-
-    #[test]
-    fn backend_depths_split_near_and_far() {
         let mut queue = EventQueue::new();
-        queue.push(SimTime::from_micros(10), 1); // in the initial window
-        queue.push(SimTime::from_secs(60), 2); // far beyond the window
-        assert_eq!(queue.backend_depths(), (1, 1));
-        let mut legacy = EventQueue::legacy_heap();
-        legacy.push(SimTime::from_micros(10), 1);
-        assert_eq!(legacy.backend_depths(), (0, 1));
+        queue.push(SimTime::from_millis(5), 5);
+        queue.push(SimTime::from_millis(10), 10);
+        assert_eq!(queue.pop_at_or_before(SimTime::from_millis(4)), None);
+        assert_eq!(
+            queue.pop_at_or_before(SimTime::from_millis(5)),
+            Some((SimTime::from_millis(5), 5))
+        );
+        assert_eq!(queue.pop_at_or_before(SimTime::from_millis(5)), None);
+        assert_eq!(queue.len(), 1);
+    }
+
+    #[test]
+    fn push_behind_the_last_pop_still_pops_first() {
+        // Pushing before the last *popped* time is legal for the queue
+        // (only the simulation driver rejects it); such an event still
+        // pops ahead of everything later.
+        let mut queue = EventQueue::new();
+        queue.push(SimTime::from_secs(100), 1);
+        assert_eq!(queue.pop(), Some((SimTime::from_secs(100), 1)));
+        queue.push(SimTime::from_secs(1), 2);
+        queue.push(SimTime::from_secs(200), 3);
+        assert_eq!(queue.pop(), Some((SimTime::from_secs(1), 2)));
+        assert_eq!(queue.pop(), Some((SimTime::from_secs(200), 3)));
     }
 }

@@ -65,108 +65,21 @@ fn run_until_is_prefix_of_run() {
     });
 }
 
-const BUCKET: u64 = EventQueue::<u32>::CALENDAR_BUCKET_MICROS;
-const SPAN: u64 = EventQueue::<u32>::CALENDAR_SPAN_MICROS;
-
-/// Pops everything, asserting strictly increasing (time, seq) order, and
-/// returns the drained (micros, payload) sequence.
-fn drain_monotonic(queue: &mut EventQueue<u64>) -> Vec<(u64, u64)> {
-    let mut out = Vec::new();
-    let mut last: Option<(u64, u64)> = None;
-    while let Some((at, payload)) = queue.pop() {
-        let key = (at.as_micros(), payload);
-        if let Some(prev) = last {
-            assert!(key > prev, "pop order regressed: {key:?} after {prev:?}");
-        }
-        last = Some(key);
-        out.push(key);
-    }
-    out
-}
-
-/// Same-timestamp events keep push order even when the shared timestamp
-/// sits exactly on a bucket-rollover edge and neighbors land on both sides
-/// of it — the tie-break lives in the sequence number, not the bucket.
-#[test]
-fn fifo_at_bucket_rollover_boundary() {
-    check("fifo_at_bucket_rollover_boundary", |g| {
-        // An edge somewhere in the first few windows, always bucket-aligned.
-        let edge = g.u64(1..=4 * SPAN / BUCKET) * BUCKET;
-        let dup = g.u64(2..=8);
-        let mut queue = EventQueue::new();
-        let mut payload = 0u64;
-        let mut expected = Vec::new();
-        for at in [edge - 1, edge, edge + BUCKET] {
-            for _ in 0..dup {
-                queue.push(SimTime::from_micros(at), payload);
-                expected.push((at, payload));
-                payload += 1;
-            }
-        }
-        expected.sort_by_key(|&(at, seq)| (at, seq));
-        prop_assert_eq!(drain_monotonic(&mut queue), expected);
-        Ok(())
-    });
-}
-
-/// Pop order is globally monotonic in (time, seq) for pushes spanning the
-/// near window, the far-future overflow, and multiple window rollovers.
-#[test]
-fn pop_order_is_monotonic_across_overflow() {
-    check("pop_order_is_monotonic_across_overflow", |g| {
-        let mut queue = EventQueue::new();
-        let mut model = Vec::new();
-        let n = g.u64(1..=150);
-        for payload in 0..n {
-            // Up to ~4 near windows out: most pushes are in-window, a solid
-            // fraction overflows into the far heap.
-            let at = g.u64(0..=4 * SPAN);
-            queue.push(SimTime::from_micros(at), payload);
-            model.push((at, payload));
-        }
-        model.sort_by_key(|&(at, seq)| (at, seq));
-        prop_assert_eq!(drain_monotonic(&mut queue), model);
-        Ok(())
-    });
-}
-
-/// Deterministic overflow boundaries: events at window-end − 1 stay near,
-/// events at window-end and beyond go far, and pop order is unaffected.
-#[test]
-fn far_future_overflow_boundary() {
-    let mut queue = EventQueue::new();
-    queue.push(SimTime::from_micros(SPAN - 1), 0u64); // last near slot
-    queue.push(SimTime::from_micros(SPAN), 1); // first far slot
-    queue.push(SimTime::from_micros(3 * SPAN + 17), 2); // deep far future
-    queue.push(SimTime::from_micros(0), 3); // first near slot
-    assert_eq!(queue.backend_depths(), (2, 2));
-    assert_eq!(
-        drain_monotonic(&mut queue),
-        vec![(0, 3), (SPAN - 1, 0), (SPAN, 1), (3 * SPAN + 17, 2)]
-    );
-
-    // After draining past the first window the queue recenters on the far
-    // minimum: a fresh far-future push lands near once the window catches up.
-    queue.push(SimTime::from_micros(10 * SPAN), 4);
-    assert_eq!(queue.backend_depths(), (0, 1));
-    assert_eq!(queue.pop(), Some((SimTime::from_micros(10 * SPAN), 4)));
-}
-
-/// Interleaved push/pop streams agree with a `Vec`-sort model and with the
-/// legacy heap backend, payload for payload.
+/// Interleaved push/pop streams agree with a `Vec`-sort model payload for
+/// payload, and `peek_time` always reports the model's earliest timestamp
+/// (the hypervisor's tick grid places ticks by it).
 #[test]
 fn interleaved_push_pop_matches_model() {
     check("interleaved_push_pop_matches_model", |g| {
-        let ops = g.vec(1..=200, |g| (g.u32(0..=2), g.u64(0..=3 * SPAN)));
-        let mut calendar = EventQueue::new();
-        let mut legacy = EventQueue::legacy_heap();
+        // A narrow time range makes same-instant ties common.
+        let ops = g.vec(1..=200, |g| (g.u32(0..=2), g.u64(0..=999)));
+        let mut queue = EventQueue::new();
         let mut model: Vec<(u64, u64)> = Vec::new();
         let mut payload = 0u64;
         for &(op, at) in &ops {
             if op < 2 {
-                // Two-thirds pushes keeps the queues populated.
-                calendar.push(SimTime::from_micros(at), payload);
-                legacy.push(SimTime::from_micros(at), payload);
+                // Two-thirds pushes keeps the queue populated.
+                queue.push(SimTime::from_micros(at), payload);
                 model.push((at, payload));
                 payload += 1;
             } else {
@@ -176,14 +89,17 @@ fn interleaved_push_pop_matches_model() {
                     .min_by_key(|&(_, &key)| key)
                     .map(|(i, _)| i);
                 let expected = min_idx.map(|i| model.remove(i));
-                let got = calendar.pop().map(|(at, p)| (at.as_micros(), p));
+                let got = queue.pop().map(|(at, p)| (at.as_micros(), p));
                 prop_assert_eq!(got, expected);
-                prop_assert_eq!(legacy.pop().map(|(at, p)| (at.as_micros(), p)), expected);
             }
-            prop_assert_eq!(calendar.len(), model.len());
-            prop_assert_eq!(legacy.len(), model.len());
+            prop_assert_eq!(queue.len(), model.len());
+            let earliest = model.iter().map(|&(at, _)| at).min();
+            prop_assert_eq!(queue.peek_time().map(SimTime::as_micros), earliest);
         }
-        let rest = drain_monotonic(&mut calendar);
+        let mut rest = Vec::new();
+        while let Some((at, p)) = queue.pop() {
+            rest.push((at.as_micros(), p));
+        }
         model.sort_by_key(|&(at, seq)| (at, seq));
         prop_assert_eq!(rest, model);
         Ok(())

@@ -198,9 +198,9 @@ mod tests {
     /// Stimulus files are untrusted input. Each one-field edit below turns
     /// a generated stimulus into one the estimator or the hypervisor cannot
     /// run; decoding must return an `Err` for it, never a value that panics
-    /// later. The stored derived graph fields (`preds`, `succs`, `topo`,
-    /// `levels`) are rebuilt from `tasks` and `edges`, so editing them
-    /// changes nothing.
+    /// later. A graph is stored as `tasks` and `edges` only; derived fields
+    /// (`preds`, `succs`, `topo`, `levels`) that a file carries are ignored
+    /// and rebuilt, so stale ones change nothing.
     mod untrusted_stimulus {
         use crate::{generate, EventSequence, Scenario};
         use nimblock_ser::{FromJson, Json, JsonError, ToJson};
@@ -213,6 +213,17 @@ mod tests {
                         .find(|(k, _)| k == key)
                         .unwrap_or_else(|| panic!("no field `{key}`"))
                         .1
+                }
+                other => panic!("expected an object, found {}", other.type_name()),
+            }
+        }
+
+        /// Adds a field that the encoder does not write.
+        fn insert(value: &mut Json, key: &str, stored: Json) {
+            match value {
+                Json::Object(pairs) => {
+                    assert!(pairs.iter().all(|(k, _)| k != key), "`{key}` already present");
+                    pairs.push((key.to_owned(), stored));
                 }
                 other => panic!("expected an object, found {}", other.type_name()),
             }
@@ -318,13 +329,12 @@ mod tests {
         #[test]
         fn stored_derived_fields_are_rebuilt_not_trusted() {
             // An out-of-range `topo` entry and `preds` that disagree with
-            // `edges` must not reach the estimator: decoding ignores both.
+            // `edges`, as an older or hand-edited file may carry, must not
+            // reach the estimator: decoding ignores both.
             let decoded = decode_edited(|doc| {
                 let graph = first_graph(doc);
-                *field(graph, "topo") = Json::Array(vec![Json::U64(99)]);
-                for preds in array(field(graph, "preds")) {
-                    array(preds).clear();
-                }
+                insert(graph, "topo", Json::Array(vec![Json::U64(99)]));
+                insert(graph, "preds", Json::Array(vec![Json::Array(Vec::new())]));
             });
             assert_eq!(decoded.unwrap(), stimulus());
         }

@@ -40,11 +40,9 @@
 #                   mismatch), and render in text, md, and json
 #   goldens         golden-drift: regenerate goldens, fail if they differ
 #                   from the committed files
-#   engine-diff     fixed-seed differential oracles: legacy heap vs calendar
-#                   event queue must be byte-identical (reports, traces,
-#                   telemetry) across policies, boards, and thread counts,
-#                   the makespan estimator must match its queue-driven
-#                   reference on the fixed benchmark panel, runs that
+#   engine-diff     fixed-seed differential oracles: the makespan
+#                   estimator must match its queue-driven reference on
+#                   the fixed benchmark panel, runs that
 #                   elide idle scheduling ticks must match the every-tick
 #                   schedule on the fixed policy panel, and the indexed
 #                   invariant verifier and attribution must match their
@@ -308,20 +306,14 @@ stage_goldens() {
 }
 
 stage_engine_diff() {
-    # The calendar-queue engine must be byte-identical to the retired
-    # binary-heap backend, the slot-bounded makespan estimator must give
-    # the makespans of its queue-driven reference, and eliding idle ticks
-    # must leave every output of the every-tick schedule unchanged, and the
-    # indexed check path (verifier, attribution, span trees) must give its
-    # reference's output on every trace of the panel. The randomized
-    # sweeps run in workspace-test (replay a failure with the
-    # NIMBLOCK_CHECK_SEED they print); the fixed panels re-run here so this
-    # stage is reproducible in isolation.
-    cargo test -q --offline \
-        --test engine_differential -- \
-        every_policy_matches_the_legacy_engine_on_fixed_seeds \
-        cluster_runs_match_the_legacy_engine_for_one_two_and_eight_threads
-    echo "ok: legacy and calendar engines are byte-identical"
+    # The slot-bounded makespan estimator must give the makespans of its
+    # queue-driven reference, eliding idle ticks must leave every output
+    # of the every-tick schedule unchanged, and the indexed check path
+    # (verifier, attribution, span trees) must give its reference's output
+    # on every trace of the panel. The randomized sweeps run in
+    # workspace-test (replay a failure with the NIMBLOCK_CHECK_SEED they
+    # print); the fixed panels re-run here so this stage is reproducible
+    # in isolation.
     cargo test -q --offline \
         --test estimator_differential -- \
         benchmark_panel_matches_the_queue_driven_reference

@@ -335,8 +335,12 @@ fn fixture_path(name: &str) -> std::path::PathBuf {
 }
 
 // ---------------------------------------------------------------------------
-// Calendar-queue rollover tie (microsecond-precision fixture).
+// Same-instant retire/reconfigure tie (microsecond-precision fixture).
 // ---------------------------------------------------------------------------
+
+/// The instant of the tie; the committed `rollover_tie` fixture is written
+/// against it.
+const TIE_MICROS: u64 = 524_288;
 
 fn us(v: u64) -> SimTime {
     SimTime::from_micros(v)
@@ -363,13 +367,13 @@ fn item_us(slot: u32, app: u64, task: u32, item: u32, from: u64, to: u64) -> Tra
     }
 }
 
-/// Builds the rollover timeline: application 0's last item ends — and its
+/// Builds the tie timeline: application 0's last item ends — and its
 /// retirement fires — at exactly `tie` µs, where application 1's
 /// reconfiguration of the *same slot* begins in the same instant. With
 /// half-open spans the schedule is legal iff the retirement orders before
 /// the reconfiguration; `skew` pulls the reconfiguration earlier to model
 /// the misordering a broken tie-break would produce.
-fn rollover_trace(tie: u64, skew: u64) -> Trace {
+fn tie_trace(tie: u64, skew: u64) -> Trace {
     const RECONFIG: u64 = 80_000; // the ZCU106's 80 ms, in µs
     let grab = tie - skew;
     trace_of(
@@ -390,7 +394,7 @@ fn rollover_trace(tie: u64, skew: u64) -> Trace {
                 at: us(100_000),
             },
             // Application 0: a legal three-task chain whose final item is
-            // stretched to end exactly on the calendar rollover boundary.
+            // stretched to end exactly at the tie instant.
             reconfig_us(0, 0, 0, 0, 80_000),
             item_us(0, 0, 0, 0, 80_000, 200_000),
             reconfig_us(1, 0, 1, 80_000, 160_000),
@@ -411,22 +415,17 @@ fn rollover_trace(tie: u64, skew: u64) -> Trace {
     )
 }
 
-/// Two events share a timestamp exactly at the calendar queue's rollover
-/// boundary: application 0 retires — freeing slot 0 — at t = 524,288 µs,
-/// the first tick past the near window (a bucket boundary *and* the full
-/// window-span rollover), and application 1's reconfiguration of that slot
+/// Two events share a timestamp: application 0 retires — freeing slot 0 —
+/// at t = 524,288 µs, and application 1's reconfiguration of that slot
 /// starts in the same microsecond. The engine must pop the tie in push
 /// (FIFO) order for the schedule to be legal; all eleven invariant rules
 /// agree the committed trace is clean.
 #[test]
 fn same_timestamp_events_across_the_rollover_boundary_stay_ordered() {
-    let tie = nimblock::sim::EventQueue::<u64>::CALENDAR_SPAN_MICROS;
-    assert_eq!(tie, 524_288, "fixture timeline is written against this span");
-    assert_eq!(tie % nimblock::sim::EventQueue::<u64>::CALENDAR_BUCKET_MICROS, 0);
-    let parsed = fixture("rollover_tie", &rollover_trace(tie, 0));
+    let parsed = fixture("rollover_tie", &tie_trace(TIE_MICROS, 0));
     assert_eq!(InvariantRule::ALL.len(), 11);
     let report = verify_trace(&parsed, &InvariantConfig::default());
-    assert!(report.is_clean(), "rollover tie misordered: {report}");
+    assert!(report.is_clean(), "same-instant tie misordered: {report}");
     assert_eq!(report.apps_seen, 2);
 }
 
@@ -435,8 +434,7 @@ fn same_timestamp_events_across_the_rollover_boundary_stay_ordered() {
 /// certifies ordering, not verifier leniency.
 #[test]
 fn a_misordered_rollover_tie_is_caught() {
-    let tie = nimblock::sim::EventQueue::<u64>::CALENDAR_SPAN_MICROS;
-    let report = verify_trace(&rollover_trace(tie, 1), &InvariantConfig::default());
+    let report = verify_trace(&tie_trace(TIE_MICROS, 1), &InvariantConfig::default());
     assert!(
         report.rules_fired().contains(&InvariantRule::SlotOverlap),
         "expected slot-overlap, got: {report}"
@@ -571,5 +569,51 @@ fn huge_slot_counts_and_ids_are_checked_promptly_without_sized_tables() {
         assert_eq!(summary.apps.len(), usize::from(retired), "{what}");
         assert_eq!(trees.len(), usize::from(retired), "{what}");
         assert_eq!(report.apps_seen, usize::from(retired), "{what}: {report}");
+    }
+}
+
+/// `batch` is read from the file too. The token-leak run re-declared with
+/// a batch of 10⁶ or `u32::MAX` leaves nearly every item of its three tasks
+/// unconsumed: the verifier lists the first 64 items of each task, counts
+/// the rest in one violation, and neither loops to nor allocates by the
+/// batch.
+#[test]
+fn a_huge_declared_batch_gives_a_bounded_report() {
+    let text = fs::read_to_string(fixture_path("token_leak")).expect("committed fixture");
+    let leak: Trace = from_str(&text).expect("fixture parses");
+    for batch in [1_000_000, u32::MAX] {
+        let mut trace = Trace::with_slots(leak.slots());
+        for event in leak.events() {
+            let mut event = event.clone();
+            if let TraceEvent::Arrival { batch: declared, .. } = &mut event {
+                *declared = batch;
+            }
+            trace.record(event);
+        }
+        LARGEST.with(|largest| largest.set(0));
+        let start = Instant::now();
+        let report = verify_trace(&trace, &InvariantConfig::default());
+        let summary = attribute_trace(&trace);
+        let trees = span_trees(&trace);
+        let took = start.elapsed();
+        let largest = LARGEST.with(Cell::get);
+        assert!(largest < 1 << 20, "batch {batch}: one allocation asked for {largest} bytes");
+        assert!(took < Duration::from_secs(1), "batch {batch}: checking took {took:?}");
+        assert_eq!(report.violations.len(), 3 * 65, "batch {batch}: {report}");
+        assert!(
+            report.violations.iter().all(|v| v.rule == InvariantRule::TokenConservation),
+            "batch {batch}: {report}"
+        );
+        // Tasks 0 and 1 completed items 0 and 1, task 2 only item 0.
+        for (task, completed) in [(0, 2), (1, 2), (2, 1)] {
+            let rest = batch - completed - 64;
+            let line = format!("… and {rest} more items of task#{task} of app#0 were not");
+            assert!(
+                report.violations.iter().any(|v| v.message.starts_with(&line)),
+                "batch {batch}: no `{line}` in {report}"
+            );
+        }
+        assert_eq!(summary.apps.len(), 1);
+        assert_eq!(trees.len(), 1);
     }
 }
