@@ -118,9 +118,8 @@ fn render_text(doc: &MonitorDoc) -> String {
         doc.slots,
     ));
     out.push_str(&format!(
-        "dropped: {} window observation(s), {} alert(s), {} recorder entr(ies), \
-         {} span tree(s)\n",
-        doc.dropped, doc.dropped_alerts, doc.recorder_dropped, doc.span_dropped,
+        "dropped: {} window observation(s), {} alert(s), {} recorder entr(ies)\n",
+        doc.dropped, doc.dropped_alerts, doc.recorder_dropped,
     ));
     if let Some(trigger) = &doc.trigger {
         out.push_str(&format!("post-mortem trigger: {trigger}\n"));
@@ -205,14 +204,13 @@ fn render_md(doc: &MonitorDoc) -> String {
     out.push_str("# Continuous monitor\n\n");
     out.push_str(&format!(
         "{} window(s) × {}, {} slot(s); dropped: {} window observation(s), \
-         {} alert(s), {} recorder entr(ies), {} span tree(s)\n\n",
+         {} alert(s), {} recorder entr(ies)\n\n",
         doc.windows.len(),
         format_micros(doc.window_micros),
         doc.slots,
         doc.dropped,
         doc.dropped_alerts,
         doc.recorder_dropped,
-        doc.span_dropped,
     ));
     if let Some(trigger) = &doc.trigger {
         out.push_str(&format!("**Post-mortem trigger:** {trigger}\n\n"));
@@ -322,7 +320,7 @@ mod tests {
     fn text_report_names_every_section() {
         let text = render_monitor(&sample_doc(), ExplainFormat::Text);
         assert!(text.contains("continuous monitor"), "{text}");
-        assert!(text.contains("span tree(s)"), "saturation-loss line names span drops: {text}");
+        assert!(text.contains("recorder entr(ies)"), "saturation-loss line names drops: {text}");
         assert!(text.contains("windowed series"), "{text}");
         assert!(text.contains("per-class quantiles"), "{text}");
         assert!(text.contains("alert(s) fired"), "{text}");

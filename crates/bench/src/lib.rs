@@ -5,11 +5,7 @@
 //! measured results). This library holds what they share: the policy
 //! roster, the standard stimulus parameters, and result aggregation.
 
-pub mod cluster_scale;
-pub mod engine_hot_path;
-pub mod faas_ingest;
 pub mod micro;
-pub mod plan_sweep;
 pub mod results;
 
 pub use results::ResultWriter;

@@ -378,100 +378,106 @@ fn critical_items(items: &[(usize, u32, u64, u64)], segments: &[(u64, u64, Cause
 /// causal link, tasks link their blocking predecessor.
 pub fn span_trees(trace: &Trace) -> Vec<Span> {
     let (apps, cap) = timelines(trace);
-    let mut trees = Vec::new();
-    for tl in &apps {
-        let Some(retire) = tl.retire_us else { continue };
-        let Some(classified) = classify(tl, &cap, true) else { continue };
-        let mut root = Span::new(
-            format!("{} {}", tl.name, tl.id),
-            SpanKind::App,
-            tl.arrival_us,
-            retire,
-        );
-        root.critical = true;
-        let item_critical = critical_items(&tl.items, &classified.segments);
+    apps.iter().filter_map(|tl| app_tree(tl, &cap)).collect()
+}
 
-        // Task spans with their children.
-        let mut tasks: BTreeMap<usize, Span> = BTreeMap::new();
-        let task_span = |tasks: &mut BTreeMap<usize, Span>, task: usize| {
-            tasks.entry(task).or_insert_with(|| {
-                let mut span =
-                    Span::new(format!("task#{task}"), SpanKind::Task, u64::MAX, 0);
-                if task > 0 {
-                    span.links.push(format!("pred:task#{}", task - 1));
-                }
-                span
-            });
-        };
-        for &(task, slot, s, e) in &tl.reconfigs {
-            task_span(&mut tasks, task);
-            let parent = tasks.get_mut(&task).expect("just inserted");
-            parent.start_us = parent.start_us.min(s);
-            parent.end_us = parent.end_us.max(e);
-            let mut span =
-                Span::new(format!("reconfig slot#{slot}"), SpanKind::Reconfig, s, e);
-            span.links.push("cap".to_owned());
-            span.critical = true;
-            parent.children.push(span);
-        }
-        for (i, &(task, item, s, e)) in tl.items.iter().enumerate() {
-            task_span(&mut tasks, task);
-            let parent = tasks.get_mut(&task).expect("just inserted");
-            parent.start_us = parent.start_us.min(s);
-            parent.end_us = parent.end_us.max(e);
-            let mut span = Span::new(format!("item{item}"), SpanKind::BatchItem, s, e);
-            span.critical = item_critical[i];
-            if span.critical {
-                parent.critical = true;
-            }
-            parent.children.push(span);
-        }
-        if !tl.preempts.is_empty() {
-            let rec_starts = task_starts(tl.reconfigs.iter().map(|&(t, _, s, _)| (t, s)));
-            for &(task, at) in &tl.preempts {
-                if let Some(parent) = tasks.get_mut(&task) {
-                    let resume = first_start(&rec_starts, task, at).unwrap_or(retire);
-                    parent.end_us = parent.end_us.max(resume);
-                    let mut span =
-                        Span::new("preempted".to_owned(), SpanKind::Preempt, at, resume);
-                    span.critical = true;
-                    parent.children.push(span);
-                }
-            }
-        }
-        for task in tasks.values_mut() {
-            task.children.sort_by_key(|c| (c.start_us, c.end_us));
-        }
+/// The span tree [`span_trees`] derives for `app`, built alone; `None`
+/// if `app` never retired.
+pub(crate) fn span_tree(trace: &Trace, app: AppId) -> Option<Span> {
+    let (apps, cap) = timelines(trace);
+    apps.iter().find(|tl| tl.id == app).and_then(|tl| app_tree(tl, &cap))
+}
 
-        // Synthesized blocked-interval spans on the root, coalescing
-        // adjacent segments with the same cause.
-        let mut gaps: Vec<Span> = Vec::new();
-        for &(t0, t1, cause) in &classified.segments {
-            let (kind, name, link) = match cause {
-                Cause::QueueWait => (SpanKind::Queue, "queue wait", None),
-                Cause::CapSerialization => (SpanKind::Requeue, "cap wait", Some("cap")),
-                _ => continue,
-            };
-            match gaps.last_mut() {
-                Some(last) if last.end_us == t0 && last.kind == kind => last.end_us = t1,
-                _ => {
-                    let mut span = Span::new(name.to_owned(), kind, t0, t1);
-                    span.critical = true;
-                    if let Some(link) = link {
-                        span.links.push(link.to_owned());
-                    }
-                    gaps.push(span);
-                }
-            }
-        }
+/// One application's span tree against the trace-wide CAP union `cap`;
+/// `None` if it never retired.
+fn app_tree(tl: &AppTimeline<'_>, cap: &[(u64, u64)]) -> Option<Span> {
+    let retire = tl.retire_us?;
+    let classified = classify(tl, cap, true)?;
+    let mut root = Span::new(
+        format!("{} {}", tl.name, tl.id),
+        SpanKind::App,
+        tl.arrival_us,
+        retire,
+    );
+    root.critical = true;
+    let item_critical = critical_items(&tl.items, &classified.segments);
 
-        let mut children: Vec<Span> = tasks.into_values().collect();
-        children.extend(gaps);
-        children.sort_by_key(|c| (c.start_us, c.end_us));
-        root.children = children;
-        trees.push(root);
+    // Task spans with their children.
+    let mut tasks: BTreeMap<usize, Span> = BTreeMap::new();
+    let task_span = |tasks: &mut BTreeMap<usize, Span>, task: usize| {
+        tasks.entry(task).or_insert_with(|| {
+            let mut span = Span::new(format!("task#{task}"), SpanKind::Task, u64::MAX, 0);
+            if task > 0 {
+                span.links.push(format!("pred:task#{}", task - 1));
+            }
+            span
+        });
+    };
+    for &(task, slot, s, e) in &tl.reconfigs {
+        task_span(&mut tasks, task);
+        let parent = tasks.get_mut(&task).expect("just inserted");
+        parent.start_us = parent.start_us.min(s);
+        parent.end_us = parent.end_us.max(e);
+        let mut span = Span::new(format!("reconfig slot#{slot}"), SpanKind::Reconfig, s, e);
+        span.links.push("cap".to_owned());
+        span.critical = true;
+        parent.children.push(span);
     }
-    trees
+    for (i, &(task, item, s, e)) in tl.items.iter().enumerate() {
+        task_span(&mut tasks, task);
+        let parent = tasks.get_mut(&task).expect("just inserted");
+        parent.start_us = parent.start_us.min(s);
+        parent.end_us = parent.end_us.max(e);
+        let mut span = Span::new(format!("item{item}"), SpanKind::BatchItem, s, e);
+        span.critical = item_critical[i];
+        if span.critical {
+            parent.critical = true;
+        }
+        parent.children.push(span);
+    }
+    if !tl.preempts.is_empty() {
+        let rec_starts = task_starts(tl.reconfigs.iter().map(|&(t, _, s, _)| (t, s)));
+        for &(task, at) in &tl.preempts {
+            if let Some(parent) = tasks.get_mut(&task) {
+                let resume = first_start(&rec_starts, task, at).unwrap_or(retire);
+                parent.end_us = parent.end_us.max(resume);
+                let mut span = Span::new("preempted".to_owned(), SpanKind::Preempt, at, resume);
+                span.critical = true;
+                parent.children.push(span);
+            }
+        }
+    }
+    for task in tasks.values_mut() {
+        task.children.sort_by_key(|c| (c.start_us, c.end_us));
+    }
+
+    // Synthesized blocked-interval spans on the root, coalescing
+    // adjacent segments with the same cause.
+    let mut gaps: Vec<Span> = Vec::new();
+    for &(t0, t1, cause) in &classified.segments {
+        let (kind, name, link) = match cause {
+            Cause::QueueWait => (SpanKind::Queue, "queue wait", None),
+            Cause::CapSerialization => (SpanKind::Requeue, "cap wait", Some("cap")),
+            _ => continue,
+        };
+        match gaps.last_mut() {
+            Some(last) if last.end_us == t0 && last.kind == kind => last.end_us = t1,
+            _ => {
+                let mut span = Span::new(name.to_owned(), kind, t0, t1);
+                span.critical = true;
+                if let Some(link) = link {
+                    span.links.push(link.to_owned());
+                }
+                gaps.push(span);
+            }
+        }
+    }
+
+    let mut children: Vec<Span> = tasks.into_values().collect();
+    children.extend(gaps);
+    children.sort_by_key(|c| (c.start_us, c.end_us));
+    root.children = children;
+    Some(root)
 }
 
 #[cfg(test)]

@@ -26,7 +26,7 @@
 
 use std::collections::HashMap;
 
-use nimblock_obs::{MonitorConfig, MonitorDoc, MonitorState, Span, SpanBuffer};
+use nimblock_obs::{MonitorConfig, MonitorDoc, MonitorState};
 
 use crate::trace::{Trace, TraceEvent};
 use crate::AppId;
@@ -141,22 +141,11 @@ pub fn derive_monitor(trace: &Trace, config: MonitorConfig) -> MonitorState {
     state
 }
 
-/// How many candidate span trees a post-mortem retains while looking for
-/// the implicated app. A dump runs in a failure path (possibly from a
-/// panic hook), so the candidate set is bounded like every other
-/// span-recording path; overflow is counted in
-/// [`MonitorDoc::span_dropped`] and surfaced by `analyze monitor`.
-const POST_MORTEM_SPAN_CAP: usize = 256;
-
 /// Builds a post-mortem bundle from a recorded trace: the derived
 /// windowed series and flight recorder, stamped with what `trigger`ed
 /// the dump, plus the implicated application's rendered span tree when
-/// one can be attributed (an app that never retired has no tree).
-///
-/// Span-tree candidates flow through a bounded
-/// [`SpanBuffer`] ([`POST_MORTEM_SPAN_CAP`] trees); on a trace with more
-/// retired apps than that, trees past the cap are dropped, counted in
-/// [`MonitorDoc::span_dropped`], and the implicated tree may be absent.
+/// one can be attributed (an app that never retired has no tree). Only
+/// that application's tree is built, however many the trace holds.
 pub fn post_mortem(
     trace: &Trace,
     config: MonitorConfig,
@@ -166,15 +155,9 @@ pub fn post_mortem(
     let state = derive_monitor(trace, config);
     let mut doc = state.to_doc();
     doc.trigger = Some(trigger.to_owned());
-    let mut candidates = SpanBuffer::with_capacity(POST_MORTEM_SPAN_CAP);
-    for span in crate::attribution::span_trees(trace) {
-        candidates.push(span);
-    }
-    doc.span_dropped = candidates.dropped();
-    doc.span_tree = failing_app.and_then(|app| {
-        let suffix = format!(" {app}");
-        candidates.spans().iter().find(|span| span.name.ends_with(&suffix)).map(Span::render)
-    });
+    doc.span_tree = failing_app
+        .and_then(|app| crate::attribution::span_tree(trace, app))
+        .map(|tree| tree.render());
     doc
 }
 
@@ -271,18 +254,16 @@ mod tests {
         let tree = doc.span_tree.expect("retired app has a span tree");
         assert!(tree.contains("lenet"), "{tree}");
         assert!(!doc.recorder.is_empty());
-        assert_eq!(doc.span_dropped, 0, "one app is far below the candidate cap");
         // An app that never retired has no attributable tree.
         let doc = post_mortem(&trace, MonitorConfig::default(), "x", Some(AppId::new(9)));
         assert!(doc.span_tree.is_none());
     }
 
     #[test]
-    fn post_mortem_span_candidates_are_bounded() {
-        // 300 retired apps overflow the 256-tree candidate buffer:
-        // span_trees yields trees in arrival order, so the last 44 are
-        // dropped and counted, and an implicated app past the cap gets
-        // no tree while one inside the cap still does.
+    fn post_mortem_finds_the_implicated_tree_among_300_apps() {
+        // A post-mortem builds the implicated app's tree alone, so every
+        // app of a long trace gets its tree, the last of 300 as well as
+        // the first.
         let mut trace = Trace::with_slots(1);
         let apps = 300u64;
         for i in 0..apps {
@@ -307,21 +288,12 @@ mod tests {
                 at: SimTime::from_micros(base + 500),
             });
         }
-        let doc = post_mortem(
-            &trace,
-            MonitorConfig::with_window_micros(100_000),
-            "flood",
-            Some(AppId::new(apps - 1)),
-        );
-        assert_eq!(doc.span_dropped, apps - super::POST_MORTEM_SPAN_CAP as u64);
-        assert!(doc.span_tree.is_none(), "implicated tree fell past the cap");
-        let doc = post_mortem(
-            &trace,
-            MonitorConfig::with_window_micros(100_000),
-            "flood",
-            Some(AppId::new(0)),
-        );
-        assert_eq!(doc.span_dropped, apps - super::POST_MORTEM_SPAN_CAP as u64);
-        assert!(doc.span_tree.is_some(), "early arrival is inside the cap");
+        let config = MonitorConfig::with_window_micros(100_000);
+        for app in [apps - 1, 0] {
+            let doc = post_mortem(&trace, config.clone(), "flood", Some(AppId::new(app)));
+            let tree = doc.span_tree.expect("every retired app has a tree");
+            let want = crate::attribution::span_trees(&trace)[app as usize].render();
+            assert_eq!(tree, want, "app {app}");
+        }
     }
 }

@@ -1093,7 +1093,6 @@ impl MonitorState {
             recorder_dropped: self.recorder.dropped(),
             trigger: None,
             span_tree: None,
-            span_dropped: 0,
         }
     }
 }
@@ -1168,9 +1167,6 @@ pub struct MonitorDoc {
     pub trigger: Option<String>,
     /// Rendered span tree of the app implicated by the trigger.
     pub span_tree: Option<String>,
-    /// Candidate span trees a post-mortem discarded because its bounded
-    /// [`crate::SpanBuffer`] was full (0 for plain exports).
-    pub span_dropped: u64,
 }
 
 impl_json_struct!(MonitorDoc {
@@ -1184,8 +1180,7 @@ impl_json_struct!(MonitorDoc {
     recorder,
     recorder_dropped,
     trigger,
-    span_tree,
-    span_dropped
+    span_tree
 });
 
 #[cfg(test)]
@@ -1458,6 +1453,11 @@ mod tests {
         assert_eq!(back.windows.len(), 1);
         assert_eq!(back.alerts.len(), 1);
         assert_eq!(back.recorder.len(), 1);
+        // Documents written while post-mortems counted dropped span trees
+        // carry a `span_dropped` field; they still decode.
+        let old = text.replacen("\n}", ",\n  \"span_dropped\": 0\n}", 1);
+        assert!(old.contains("span_dropped"));
+        assert_eq!(nimblock_ser::from_str::<MonitorDoc>(&old).expect("old doc parses"), doc);
     }
 
     #[test]

@@ -47,10 +47,15 @@
 #                   schedule on the fixed policy panel, and the indexed
 #                   invariant verifier and attribution must match their
 #                   reference on the fixed trace panel
-#   bench-gate      scripts/bench_gate.sh versus results/BENCH_cluster.json,
-#                   results/BENCH_engine.json, results/BENCH_faas.json, and
-#                   results/BENCH_plan.json
-#                   (skippable with NIMBLOCK_SKIP_BENCH_GATE=1)
+#   bench-gate      the repository benchmark (.perfbench, BENCHMARK.json):
+#                   its package tests must pass, so the benchmark still
+#                   builds against the program and repeats exactly; then
+#                   every workload runs three times, 8 s at seed 2023, each
+#                   run must be correct with no failed op, and the best
+#                   sim_speed may fall at most NIMBLOCK_BENCH_TOLERANCE
+#                   percent [15] below results/perfbench/<workload>.json
+#                   (the timing half is skippable with
+#                   NIMBLOCK_SKIP_BENCH_GATE=1)
 #
 # Usage:
 #   scripts/ci.sh                 # every stage
@@ -58,9 +63,13 @@
 #   scripts/ci.sh --list          # print stage names and exit
 #
 # Environment:
-#   NIMBLOCK_CI_STAGES   comma-separated stage filter, used when no stages
-#                        are given on the command line (e.g.
-#                        NIMBLOCK_CI_STAGES=lint,build,faas scripts/ci.sh)
+#   NIMBLOCK_CI_STAGES        comma-separated stage filter, used when no
+#                             stages are given on the command line (e.g.
+#                             NIMBLOCK_CI_STAGES=lint,build,faas scripts/ci.sh)
+#   NIMBLOCK_BENCH_TOLERANCE  allowed sim_speed shortfall of the bench gate,
+#                             percent [15]
+#   NIMBLOCK_SKIP_BENCH_GATE  1 skips the timed halves of the monitor and
+#                             bench-gate stages (noisy or shared hosts)
 #
 # Every run writes per-stage wall-clock timing to results/ci_stages.json —
 # a per-run artifact that is gitignored on purpose; never commit it.
@@ -330,8 +339,56 @@ stage_engine_diff() {
     echo "ok: the indexed check path matches its reference on the fixed panel"
 }
 
+# The bench gate's fixed run: seed and seconds of every perfbench run, three
+# runs per workload. A baseline is the result line of the best of three runs
+# of this same stage on the host that recorded it.
+BENCH_SEED=2023
+BENCH_SECONDS=8
+
 stage_bench_gate() {
-    scripts/bench_gate.sh
+    # The benchmark calls the program's public API, so a change to that API
+    # fails here rather than in a benchmark run; its tests also require
+    # every count and simulated metric to repeat exactly for a seed.
+    cargo test -q --offline --manifest-path .perfbench/Cargo.toml
+    if [ "${NIMBLOCK_SKIP_BENCH_GATE:-}" = "1" ]; then
+        echo "skip: bench timing gate (NIMBLOCK_SKIP_BENCH_GATE=1)"
+        return 0
+    fi
+    local tolerance="${NIMBLOCK_BENCH_TOLERANCE:-15}"
+    local workloads
+    workloads=$(sed -n 's/^ *{"name": "\([^"]*\)", "why".*/\1/p' BENCHMARK.json)
+    [ -n "$workloads" ] \
+        || { echo "error: BENCHMARK.json lists no workloads" >&2; return 1; }
+    cargo build --release --offline -q -p nimblock-bench --bin perf_gate
+    # One run of every workload per round: a workload's three runs spread
+    # over the stage instead of sampling one of the host's slow spells,
+    # which last tens of seconds.
+    local run workload
+    for run in 1 2 3; do
+        for workload in $workloads; do
+            echo "-- run $run of 3: $workload, seed $BENCH_SEED, ${BENCH_SECONDS}s"
+            cargo run --release --quiet --offline --manifest-path .perfbench/Cargo.toml -- \
+                --workload "$workload" --seed "$BENCH_SEED" \
+                --seconds "$BENCH_SECONDS" --trace 0 \
+                > "$smoke_dir/$workload.$run.out"
+        done
+    done
+    # perf_gate judges each run's last line, its result line, and prints the
+    # best run's line last: the line to commit as
+    # results/perfbench/<workload>.json when a baseline is re-recorded.
+    local fail=0
+    for workload in $workloads; do
+        echo "-- $workload"
+        ./target/release/perf_gate "$tolerance" "results/perfbench/$workload.json" \
+            "$smoke_dir/$workload".{1,2,3}.out || fail=1
+    done
+    if [ "$fail" -ne 0 ]; then
+        echo "error: a workload failed the bench gate (tolerance ${tolerance}%);" \
+             "a real regression needs fixing, an intended slowdown a re-recorded" \
+             "baseline" >&2
+        return 1
+    fi
+    echo "ok: every workload holds its baseline within ${tolerance}%"
 }
 
 run_stage() {
