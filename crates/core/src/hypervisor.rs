@@ -47,6 +47,17 @@ pub enum HvEvent {
         slot: SlotId,
     },
     /// The task on `slot` finished one batch item.
+    ///
+    /// A completion that leaves the task holding its slot (items of its
+    /// batch remain) is an *item boundary*, the point at which the task may
+    /// be batch-preempted; so is a stale completion, which changes nothing.
+    /// With the configuration port idle, the last consult of the policy
+    /// returned `None`, and since then only item-level fields have moved.
+    /// At a boundary the hypervisor therefore consults the policy only if
+    /// [`Scheduler::next_decision_change`], asked with the finished task
+    /// idle, answers at or before now; it then launches items as after
+    /// every event. A completion that finishes the task's batch frees its
+    /// slot and always consults.
     ItemDone {
         /// Application owning the task.
         app: AppId,
@@ -414,12 +425,21 @@ impl<S: Scheduler> Hypervisor<S> {
         runtime.phases[task.index()] = TaskPhase::Idle(slot);
     }
 
-    fn on_item_done(&mut self, app: AppId, task: TaskId, slot: SlotId, now: SimTime, gen: u64) {
+    /// Records one finished item. Returns `true` at an item boundary: the
+    /// task keeps its slot for its next item, or the completion is stale.
+    fn on_item_done(
+        &mut self,
+        app: AppId,
+        task: TaskId,
+        slot: SlotId,
+        now: SimTime,
+        gen: u64,
+    ) -> bool {
         if gen != self.launch_gen[slot.index()] {
             // The launch this completion belongs to was aborted by a
             // fine-grained preemption; its progress is checkpointed.
             self.metrics.stale_completions.inc();
-            return;
+            return true;
         }
         self.metrics.items.inc();
         self.device.finish_execution(slot);
@@ -429,19 +449,21 @@ impl<S: Scheduler> Hypervisor<S> {
         runtime.item_started[task.index()] = None;
         runtime.items_done[task.index()] += 1;
         runtime.run_time += runtime.spec().graph().task(task).latency();
-        if runtime.items_done[task.index()] == runtime.batch_size() {
-            runtime.phases[task.index()] = TaskPhase::Done;
-            self.bindings[slot.index()] = None;
-            self.device
-                .release_slot(slot)
-                .expect("slot of a completed task is idle");
-        } else {
+        if runtime.items_done[task.index()] < runtime.batch_size() {
             runtime.phases[task.index()] = TaskPhase::Idle(slot);
+            return true;
         }
+        runtime.phases[task.index()] = TaskPhase::Done;
+        self.bindings[slot.index()] = None;
+        self.device
+            .release_slot(slot)
+            .expect("slot of a completed task is idle");
+        // A buffer becomes freeable only when a task reaches `Done`.
         self.free_consumed_buffers(app);
         if self.apps[app].is_complete() {
             self.retire(app, now);
         }
+        false
     }
 
     /// Relinquishes output buffers whose data no consumer still needs
@@ -809,10 +831,32 @@ impl<S: Scheduler> Hypervisor<S> {
         }
     }
 
+    /// Asks the policy when a consult on the current state can next do
+    /// something new (see [`Scheduler::next_decision_change`]).
+    fn next_decision_change(&mut self, now: SimTime) -> Option<SimTime> {
+        self.refresh_snapshot();
+        let view = SchedView {
+            now,
+            apps: &self.apps,
+            slots: &self.snapshot_buf,
+            reconfig_latency: self.device.nominal_reconfig_latency(),
+            interconnect: self.interconnect,
+        };
+        self.scheduler.next_decision_change(&view)
+    }
+
     /// The scheduling loop run after every event: policy directives while
     /// the configuration port is idle, then item launches.
-    fn drive(&mut self, now: SimTime, queue: &mut EventQueue<HvEvent>) {
-        while self.device.cap().is_idle() {
+    ///
+    /// At an item boundary (see [`HvEvent::ItemDone`]) with the port idle,
+    /// the last consult returned `None`, and since then only item-level
+    /// fields have moved; the policy is consulted only if its hook says a
+    /// consult at `now` can answer differently.
+    fn drive(&mut self, now: SimTime, boundary: bool, queue: &mut EventQueue<HvEvent>) {
+        let consult = !boundary
+            || (self.device.cap().is_idle()
+                && self.next_decision_change(now).is_some_and(|due| due <= now));
+        while consult && self.device.cap().is_idle() {
             self.refresh_snapshot();
             let directive = {
                 let view = SchedView {
@@ -862,15 +906,7 @@ impl<S: Scheduler> Hypervisor<S> {
         } else {
             // With the port busy no tick consults before its ReconfigDone,
             // which asks again; an answer now can only queue a tick early.
-            self.refresh_snapshot();
-            let view = SchedView {
-                now,
-                apps: &self.apps,
-                slots: &self.snapshot_buf,
-                reconfig_latency: self.device.nominal_reconfig_latency(),
-                interconnect: self.interconnect,
-            };
-            self.scheduler.next_decision_change(&view)
+            self.next_decision_change(now)
         };
         if let Some(due) = due {
             self.ticks.arm(queue, due);
@@ -883,22 +919,24 @@ impl<S: Scheduler> Handler<HvEvent> for Hypervisor<S> {
         if event != HvEvent::Tick {
             self.ticks.pass_before(now);
         }
-        match event {
+        let boundary = match event {
             HvEvent::Arrival(index) => {
                 self.monitor_dirty = true;
                 self.admit(index, now);
+                false
             }
-            HvEvent::Tick => {}
+            HvEvent::Tick => false,
             HvEvent::ReconfigDone { slot } => {
                 self.monitor_dirty = true;
                 self.on_reconfig_done(slot, now);
+                false
             }
             HvEvent::ItemDone { app, task, slot, gen } => {
                 self.monitor_dirty = true;
-                self.on_item_done(app, task, slot, now, gen);
+                self.on_item_done(app, task, slot, now, gen)
             }
-        }
-        self.drive(now, queue);
+        };
+        self.drive(now, boundary, queue);
         if self.monitor_dirty {
             if let (true, Some(monitor)) = (self.monitor_samples, &self.monitor) {
                 // Sample the post-event scheduling state: unplaced tasks
@@ -949,11 +987,17 @@ mod tests {
     use crate::Reconfig;
 
     /// A test policy that replays a fixed list of directives, one per
-    /// scheduling point, then stays silent.
+    /// scheduling point, then stays silent. It counts its consults and
+    /// keeps the task phases of application 0 that the last one saw; its
+    /// hook gives the trait default's answer unless `silent_hook` makes it
+    /// answer `None`.
     #[derive(Debug, Default)]
     struct Scripted {
         directives: VecDeque<Reconfig>,
         pipelining: bool,
+        silent_hook: bool,
+        consults: u64,
+        seen: Vec<TaskPhase>,
     }
 
     impl Scheduler for Scripted {
@@ -965,8 +1009,16 @@ mod tests {
             self.pipelining
         }
 
-        fn next_reconfig(&mut self, _view: &SchedView<'_>) -> Option<Reconfig> {
+        fn next_reconfig(&mut self, view: &SchedView<'_>) -> Option<Reconfig> {
+            self.consults += 1;
+            if let Some(runtime) = view.app(app0()) {
+                self.seen.clone_from(&runtime.phases);
+            }
             self.directives.pop_front()
+        }
+
+        fn next_decision_change(&mut self, view: &SchedView<'_>) -> Option<SimTime> {
+            (!self.silent_hook).then_some(view.now)
         }
     }
 
@@ -997,6 +1049,7 @@ mod tests {
                 slot: SlotId::new(0),
             }]),
             pipelining: false,
+            ..Scripted::default()
         };
         start(scripted, 1).run();
     }
@@ -1011,6 +1064,7 @@ mod tests {
                 Reconfig { app: app0(), task: TaskId::new(0), slot: SlotId::new(1) },
             ]),
             pipelining: false,
+            ..Scripted::default()
         };
         start(scripted, 1).run();
     }
@@ -1025,6 +1079,7 @@ mod tests {
                 Reconfig { app: app0(), task: TaskId::new(2), slot: SlotId::new(2) },
             ]),
             pipelining: true,
+            ..Scripted::default()
         };
         let mut sim = start(scripted, 2);
         sim.run();
@@ -1080,6 +1135,145 @@ mod tests {
         assert!(!hypervisor.finished());
     }
 
+    /// A scheduling point as the consult rule sees it.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Point {
+        Arrival,
+        Reconfigured,
+        /// An item completion that leaves its task holding its slot.
+        Boundary,
+        /// A completion that finishes its task's batch.
+        BatchEnd,
+        /// A batch end that finishes the application, which retires.
+        Retirement,
+        Tick,
+    }
+
+    /// One scheduling point of a [`Probe`]d run.
+    #[derive(Debug, Clone, Copy)]
+    struct Logged {
+        point: Point,
+        /// The port is idle once the event's state change is applied.
+        idle: bool,
+        consults: u64,
+        /// At a boundary: the last consult saw the finished task idle.
+        saw_idle: bool,
+    }
+
+    /// Handles events for a hypervisor and logs each one.
+    struct Probe {
+        hv: Hypervisor<Scripted>,
+        log: Vec<Logged>,
+    }
+
+    impl Handler<HvEvent> for Probe {
+        fn handle(&mut self, now: SimTime, event: HvEvent, queue: &mut EventQueue<HvEvent>) {
+            let (point, finished) = match event {
+                HvEvent::Arrival(_) => (Point::Arrival, None),
+                HvEvent::Tick => (Point::Tick, None),
+                HvEvent::ReconfigDone { .. } => (Point::Reconfigured, None),
+                HvEvent::ItemDone {
+                    app, task, slot, ..
+                } => {
+                    let runtime = &self.hv.apps()[app];
+                    let point = if runtime.items_done(task) + 1 < runtime.batch_size() {
+                        Point::Boundary
+                    } else if runtime.unfinished_tasks() == 1 {
+                        Point::Retirement
+                    } else {
+                        Point::BatchEnd
+                    };
+                    (point, Some((task, slot)))
+                }
+            };
+            let idle = point == Point::Reconfigured || self.hv.device().cap().is_idle();
+            let before = self.hv.scheduler().consults;
+            self.hv.handle(now, event, queue);
+            let policy = self.hv.scheduler();
+            let saw_idle = finished.is_some_and(|(task, slot)| {
+                policy.seen.get(task.index()) == Some(&TaskPhase::Idle(slot))
+            });
+            self.log.push(Logged {
+                point,
+                idle,
+                consults: policy.consults - before,
+                saw_idle,
+            });
+        }
+    }
+
+    /// Runs one bulk-processed LeNet of four items, its three tasks placed
+    /// by script, and logs every scheduling point (see [`Probe`]).
+    fn consult_log(silent_hook: bool) -> Vec<Logged> {
+        let scripted = Scripted {
+            directives: (0..3)
+                .map(|i| Reconfig {
+                    app: app0(),
+                    task: TaskId::new(i),
+                    slot: SlotId::new(i),
+                })
+                .collect(),
+            silent_hook,
+            ..Scripted::default()
+        };
+        let events = vec![ArrivalEvent::new(
+            benchmarks::lenet(),
+            4,
+            Priority::Medium,
+            SimTime::ZERO,
+        )];
+        let hv = Hypervisor::new(Device::new(DeviceConfig::zcu106()), scripted, events);
+        let mut sim = Simulation::new(Probe {
+            hv,
+            log: Vec::new(),
+        });
+        sim.queue_mut().push(SimTime::ZERO, HvEvent::Arrival(0));
+        sim.run();
+        assert!(sim.handler().hv.finished());
+        sim.handler().log.clone()
+    }
+
+    #[test]
+    fn a_silent_hook_is_skipped_only_at_item_boundaries() {
+        let log = consult_log(true);
+        for point in [
+            Point::Arrival,
+            Point::Reconfigured,
+            Point::Boundary,
+            Point::BatchEnd,
+            Point::Retirement,
+        ] {
+            assert!(
+                log.iter().any(|l| l.point == point && l.idle),
+                "the run has no {point:?} with the port idle: {log:?}"
+            );
+        }
+        for l in &log {
+            match l.point {
+                Point::Boundary => assert_eq!(l.consults, 0, "consulted at a boundary: {log:?}"),
+                Point::Tick => {}
+                point if l.idle => assert!(l.consults > 0, "{point:?} not consulted: {log:?}"),
+                _ => {}
+            }
+        }
+    }
+
+    #[test]
+    fn the_default_hook_is_consulted_at_every_item_boundary_before_launches() {
+        // Task 0 is a source, so each of its boundaries launches its next
+        // item at once: a consult after the launches would see it running.
+        let log = consult_log(false);
+        let boundaries: Vec<_> = log
+            .iter()
+            .filter(|l| l.point == Point::Boundary && l.idle)
+            .collect();
+        assert!(!boundaries.is_empty(), "{log:?}");
+        assert!(
+            boundaries.iter().all(|l| l.consults > 0 && l.saw_idle),
+            "a boundary was not consulted with its task idle: {log:?}"
+        );
+    }
+
     #[test]
     fn bulk_mode_waits_for_predecessor_batches() {
         // With pipelining disabled, task 1 must not start until task 0 has
@@ -1091,6 +1285,7 @@ mod tests {
                 Reconfig { app: app0(), task: TaskId::new(2), slot: SlotId::new(2) },
             ]),
             pipelining: false,
+            ..Scripted::default()
         };
         let scripted_pipe = Scripted {
             directives: VecDeque::from(vec![
@@ -1099,6 +1294,7 @@ mod tests {
                 Reconfig { app: app0(), task: TaskId::new(2), slot: SlotId::new(2) },
             ]),
             pipelining: true,
+            ..Scripted::default()
         };
         let mut bulk = start(scripted_bulk, 3);
         let mut pipe = start(scripted_pipe, 3);

@@ -18,6 +18,9 @@
 //!   offers the policy a read-only [`SchedView`] and asks for at most one
 //!   [`Reconfig`] directive — which slot to reconfigure with which task,
 //!   possibly *batch-preempting* the idle task currently holding the slot.
+//!   Periodic ticks and item boundaries (see [`HvEvent`]) reach the policy
+//!   only where [`Scheduler::next_decision_change`] says its answer can
+//!   change.
 //!
 //! Five policies reproduce the paper's evaluation (§5.1):
 //!

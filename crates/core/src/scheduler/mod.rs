@@ -26,8 +26,8 @@ use crate::{AppId, Reconfig, SchedView};
 
 /// A scheduling policy consulted by the [`crate::Hypervisor`].
 ///
-/// The hypervisor calls [`Scheduler::next_reconfig`] at every scheduling
-/// point at which the configuration port is idle — application arrival,
+/// The hypervisor calls [`Scheduler::next_reconfig`] at the scheduling
+/// points at which the configuration port is idle — application arrival,
 /// reconfiguration completion, batch-item completion, application
 /// retirement, and the periodic scheduling interval. The policy may answer
 /// with at most one [`Reconfig`] directive per call (the port reconfigures
@@ -38,6 +38,10 @@ use crate::{AppId, Reconfig, SchedView};
 /// matter to a policy whose answer depends on time.
 /// [`Scheduler::next_decision_change`] says when that can next happen, and
 /// the hypervisor queues a tick only there (see [`crate::HvEvent::Tick`]).
+/// The same answer gates the consult at an *item boundary*, a batch-item
+/// completion after which its task keeps its slot (see
+/// [`crate::HvEvent::ItemDone`]): there only item-level state has moved
+/// since the last consult.
 ///
 /// # Contract
 ///
@@ -83,22 +87,37 @@ pub trait Scheduler {
     /// `view` could do something the last consult did not; `None` if only
     /// a state change can make that happen.
     ///
-    /// The hypervisor asks once an event is handled, unless a tick is
-    /// already queued, and skips every periodic tick before the answer.
-    /// With the configuration port idle, [`Scheduler::next_reconfig`] has
-    /// just returned `None` at `view.now`, and the item launches that
-    /// followed may have moved the state since (tasks idle at a batch
-    /// boundary start running). With the port busy, no tick consults before
-    /// its reconfiguration completes, and the hypervisor asks again then.
+    /// The hypervisor asks at two moments, each time with the
+    /// configuration port idle meaning that the last consult returned
+    /// `None`:
+    ///
+    /// - **Once an event is handled**, unless a tick is already queued; it
+    ///   skips every periodic tick before the answer. The item launches
+    ///   that closed the event may have moved the state since the consult
+    ///   (tasks idle at a batch boundary start running). With the port
+    ///   busy, no tick consults before its reconfiguration completes, and
+    ///   the hypervisor asks again then.
+    /// - **At an item boundary with the port idle**, before the launches,
+    ///   on the state with the finished task idle; it consults only if the
+    ///   answer is at or before `view.now`. Since the last consult only
+    ///   item-level fields have moved: tasks' `items_done` and their
+    ///   [`crate::TaskPhase::Running`] ↔ [`crate::TaskPhase::Idle`] phase.
+    ///   No slot has been freed and no task has become unplaced or done.
+    ///
     /// A consult "does something" when it returns a directive or records
     /// something new: PREMA and Nimblock stamp newly qualifying candidates
-    /// with the consult instant. Answering too early costs a wasted tick;
-    /// answering too late changes the schedule.
+    /// with the consult instant. Answering too early costs a wasted tick
+    /// or consult; answering too late changes the schedule.
     ///
-    /// The default, `Some(view.now)`, keeps every tick. Policies whose
-    /// decisions read only the state, and not the running-versus-idle
-    /// phase a launch changes, answer `None`. The token policies answer
-    /// with the next level crossing that moves their candidate pool.
+    /// The default, `Some(view.now)`, keeps every tick and every boundary
+    /// consult. Policies whose decisions read only the state answer `None`.
+    /// Reading item counts only to rank what can be placed (PREMA's and
+    /// SJF's shortest-first orders) does not count: a boundary frees no
+    /// slot and makes no task placeable, so a consult that found nothing to
+    /// place still finds nothing. The token policies answer with the next
+    /// level crossing that moves their candidate pool, and Nimblock answers
+    /// `view.now` when the running-versus-idle phase moves the preemption
+    /// search that ended its last consult.
     fn next_decision_change(&mut self, view: &SchedView<'_>) -> Option<SimTime> {
         Some(view.now)
     }

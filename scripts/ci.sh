@@ -43,8 +43,12 @@
 #   engine-diff     fixed-seed differential oracles: the makespan
 #                   estimator must match its queue-driven reference on
 #                   the fixed benchmark panel, runs that
-#                   elide idle scheduling ticks must match the every-tick
-#                   schedule on the fixed policy panel, and the indexed
+#                   elide idle scheduling ticks and item-boundary consults
+#                   must match the every-tick, every-consult schedule on
+#                   the fixed policy panel, whose two committed fixtures
+#                   (tests/fixtures/tick_elision/same_instant_tick.json
+#                   and boundary_preempt.json) must each still hit the
+#                   case its probe names, and the indexed
 #                   invariant verifier and attribution must match their
 #                   reference on the fixed trace panel
 #   bench-gate      the repository benchmark (.perfbench, BENCHMARK.json):
@@ -316,8 +320,11 @@ stage_goldens() {
 
 stage_engine_diff() {
     # The slot-bounded makespan estimator must give the makespans of its
-    # queue-driven reference, eliding idle ticks must leave every output
-    # of the every-tick schedule unchanged, and the indexed check path
+    # queue-driven reference, eliding idle ticks and item-boundary
+    # consults must leave every output of the every-tick, every-consult
+    # schedule unchanged (the probes pin that the same-instant tick and
+    # the boundary batch-preemption fixtures still hit their cases), and
+    # the indexed check path
     # (verifier, attribution, span trees) must give its reference's output
     # on every trace of the panel. The randomized sweeps run in
     # workspace-test (replay a failure with the NIMBLOCK_CHECK_SEED they
@@ -330,8 +337,9 @@ stage_engine_diff() {
     cargo test -q --offline \
         --test tick_elision_differential -- \
         every_policy_matches_the_every_tick_reference_on_the_fixed_panel \
-        the_panel_hits_a_directive_issuing_tick_that_shares_its_instant_with_a_completion
-    echo "ok: elided ticks match the every-tick schedule on the fixed panel"
+        the_panel_hits_a_directive_issuing_tick_that_shares_its_instant_with_a_completion \
+        the_panel_hits_a_batch_preemption_at_an_item_boundary_without_a_tick
+    echo "ok: elided ticks and boundary consults match the every-tick schedule on the fixed panel"
     cargo test -q --offline \
         --test check_path_differential -- \
         the_fixed_panel_matches_the_reference_check_path \

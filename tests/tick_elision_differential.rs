@@ -1,18 +1,21 @@
-//! Exactness oracle for tick elision (DESIGN.md §19).
+//! Exactness oracle for tick elision and boundary consults (DESIGN.md §19).
 //!
 //! The hypervisor queues its 400 ms scheduling tick only where one can act:
 //! where the policy's `Scheduler::next_decision_change` says a consult may
 //! answer differently, while a launch is stalled on buffer memory, and
 //! where the run ends. Every queued tick pops in the place among
 //! same-instant events that it holds when a tick is queued every interval.
+//! The same hook gates the consult at an item boundary, an `ItemDone`
+//! after which its task keeps its slot.
 //!
 //! The reference is [`EveryTick`], a wrapper that forwards every
 //! `Scheduler` method except `next_decision_change`. The trait's default
-//! answer then keeps every tick, so the reference runs the every-interval
-//! schedule through the same production code. The two runs must agree
-//! byte for byte on the report (records, counters, attribution), the
-//! schedule trace and the monitor document. Their metrics may differ only
-//! in the series that count ticks: events, queue depth, decisions and
+//! answer then keeps every tick and consults at every item boundary, so
+//! the reference runs the every-interval, every-consult schedule through
+//! the same production code. The two runs must agree byte for byte on the
+//! report (records, counters, attribution), the schedule trace and the
+//! monitor document. Their metrics may differ only in the series that
+//! count ticks and consults: events, queue depth, decisions and
 //! candidate-pool samples (plus the wall-clock decision latency, which no
 //! two runs share).
 //!
@@ -26,7 +29,7 @@ use nimblock::cluster::{ClusterTestbed, DispatchPolicy};
 use nimblock::core::{
     AppId, DmlStaticScheduler, EdfScheduler, FcfsScheduler, HvEvent, Hypervisor, NimblockConfig,
     NimblockScheduler, NoSharingScheduler, PremaScheduler, Reconfig, RoundRobinScheduler,
-    SchedView, Scheduler, SjfScheduler, Testbed,
+    SchedView, Scheduler, SjfScheduler, TaskPhase, Testbed,
 };
 use nimblock::fpga::{zcu106, Device, DeviceConfig, Resources};
 use nimblock::obs::{MonitorConfig, MonitorHandle, Registry};
@@ -37,7 +40,8 @@ use nimblock::workload::{
 use nimblock_check::{check_with, Config, Gen};
 
 /// Forwards every [`Scheduler`] method except `next_decision_change`, so
-/// the hypervisor keeps every tick; counts the directives it passes on.
+/// the hypervisor keeps every tick and consults at every item boundary;
+/// counts the directives it passes on.
 struct EveryTick<S> {
     inner: S,
     directives: u64,
@@ -225,7 +229,8 @@ fn boards() -> [Board; 4] {
     ]
 }
 
-/// The series that count ticks, plus the wall-clock decision latency.
+/// The series that count ticks and consults, plus the wall-clock decision
+/// latency.
 const TICK_SERIES: [&str; 5] = [
     "sim_events_total",
     "sim_event_queue_depth_max",
@@ -388,21 +393,20 @@ fn check_board(
     )
 }
 
-fn fixture_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/fixtures/tick_elision/same_instant_tick.json")
-}
-
-/// A stimulus in which a directive-issuing tick shares its instant with a
-/// completion (see [`same_instant_ticks`]).
-fn fixture() -> EventSequence {
-    let text = std::fs::read_to_string(fixture_path()).expect("fixture is committed");
+/// The committed stimulus `tests/fixtures/tick_elision/{name}.json`.
+fn fixture(name: &str) -> EventSequence {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures/tick_elision")
+        .join(format!("{name}.json"));
+    let text = std::fs::read_to_string(path).expect("fixture is committed");
     nimblock_ser::from_str(&text).expect("fixture parses")
 }
 
 /// The fixed panel: the standard, stress and real-time suites, fixed-batch
 /// sequences whose millisecond-aligned arrivals put completions on the
-/// tick grid, and the committed same-instant fixture.
+/// tick grid, and the two committed fixtures: a directive-issuing tick that
+/// shares its instant with a completion (see [`same_instant_ticks`]), and
+/// a batch-preemption at an item boundary (see [`boundary_preemptions`]).
 fn panel() -> Vec<(String, EventSequence)> {
     let mut panel = Vec::new();
     for scenario in [Scenario::Standard, Scenario::Stress, Scenario::RealTime] {
@@ -425,7 +429,9 @@ fn panel() -> Vec<(String, EventSequence)> {
             events,
         ));
     }
-    panel.push(("same-instant fixture".to_owned(), fixture()));
+    for name in ["same_instant_tick", "boundary_preempt"] {
+        panel.push((format!("fixture {name}"), fixture(name)));
+    }
     panel
 }
 
@@ -536,27 +542,63 @@ fn random_workloads_match_the_every_tick_reference() {
     );
 }
 
-/// A [`Handler`] that logs every event the hypervisor handles, with the
-/// number of directives the policy issued while handling it.
+/// One event an every-tick hypervisor handled, with the directives the
+/// policy issued while handling it, and what happened at an item boundary.
+struct Logged {
+    at: SimTime,
+    event: HvEvent,
+    directives: u64,
+    boundary: Option<Boundary>,
+}
+
+/// An item boundary: an `ItemDone` after which its task keeps its slot.
+#[derive(Clone, Copy)]
+struct Boundary {
+    /// The policy batch-preempted the task that finished.
+    preempted: bool,
+    /// The task's dependencies allowed its next item at once, so the
+    /// launch pass would have started it had the policy not taken the slot.
+    ready: bool,
+}
+
+/// A [`Handler`] that logs every event the hypervisor handles.
 struct Probe<S: Scheduler> {
     hv: Hypervisor<EveryTick<S>>,
-    log: Vec<(SimTime, HvEvent, u64)>,
+    log: Vec<Logged>,
 }
 
 impl<S: Scheduler> Handler<HvEvent> for Probe<S> {
     fn handle(&mut self, now: SimTime, event: HvEvent, queue: &mut EventQueue<HvEvent>) {
+        let finished = match event {
+            HvEvent::ItemDone { app, task, .. } => self
+                .hv
+                .apps()
+                .get(app)
+                .filter(|runtime| runtime.items_done(task) + 1 < runtime.batch_size())
+                .map(|_| (app, task)),
+            _ => None,
+        };
         let before = self.hv.scheduler().directives;
         self.hv.handle(now, event, queue);
-        self.log
-            .push((now, event, self.hv.scheduler().directives - before));
+        let boundary = finished.map(|(app, task)| {
+            let runtime = self.hv.apps().get(app).expect("a boundary retires nothing");
+            Boundary {
+                preempted: runtime.phase(task) == TaskPhase::Unplaced,
+                ready: runtime.deps_allow_next_item(task, self.hv.scheduler().pipelining()),
+            }
+        });
+        self.log.push(Logged {
+            at: now,
+            event,
+            directives: self.hv.scheduler().directives - before,
+            boundary,
+        });
     }
 }
 
-/// The directive-issuing ticks of an every-tick run that share their
-/// instant with an item or reconfiguration completion, as `(instant,
-/// completion pops before the tick)`. Wired as `Testbed::run` wires a
-/// board.
-fn same_instant_ticks(policy: Policy, events: &EventSequence) -> Vec<(SimTime, bool)> {
+/// Runs `events` on the every-tick schedule, wired as `Testbed::run`
+/// wires a board, and logs every event it handles.
+fn probe_log(policy: Policy, events: &EventSequence) -> Vec<Logged> {
     let board = &boards()[0];
     let tick = SimDuration::from_millis(zcu106::SCHEDULING_INTERVAL_MILLIS);
     let hv = Hypervisor::new(
@@ -579,20 +621,39 @@ fn same_instant_ticks(policy: Policy, events: &EventSequence) -> Vec<(SimTime, b
     sim.queue_mut().push(SimTime::ZERO + tick, HvEvent::Tick);
     sim.run();
     assert!(sim.handler().hv.finished());
-    let log = &sim.handler().log;
+    std::mem::take(&mut sim.handler_mut().log)
+}
+
+/// The directive-issuing ticks of an every-tick run that share their
+/// instant with an item or reconfiguration completion, as `(instant,
+/// completion pops before the tick)`.
+fn same_instant_ticks(policy: Policy, events: &EventSequence) -> Vec<(SimTime, bool)> {
+    let log = probe_log(policy, events);
     let completion =
         |e: &HvEvent| matches!(e, HvEvent::ItemDone { .. } | HvEvent::ReconfigDone { .. });
     log.iter()
         .enumerate()
-        .filter(|(_, (_, event, directives))| *event == HvEvent::Tick && *directives > 0)
-        .filter_map(|(i, &(at, ..))| {
+        .filter(|(_, l)| l.event == HvEvent::Tick && l.directives > 0)
+        .filter_map(|(i, l)| {
             let shared = log
                 .iter()
                 .enumerate()
-                .filter(|(j, (t, e, _))| *j != i && *t == at && completion(e));
+                .filter(|(j, o)| *j != i && o.at == l.at && completion(&o.event));
             let before = shared.clone().any(|(j, _)| j < i);
-            (shared.count() > 0).then_some((at, before))
+            (shared.count() > 0).then_some((l.at, before))
         })
+        .collect()
+}
+
+/// The item boundaries at which an every-tick run, which also consults
+/// at every boundary, batch-preempts the task that finished, though it
+/// was ready for its next item, with no tick at that instant.
+fn boundary_preemptions(policy: Policy, events: &EventSequence) -> Vec<SimTime> {
+    let log = probe_log(policy, events);
+    log.iter()
+        .filter(|l| l.boundary.is_some_and(|b| b.preempted && b.ready))
+        .filter(|l| !log.iter().any(|o| o.at == l.at && o.event == HvEvent::Tick))
+        .map(|l| l.at)
         .collect()
 }
 
@@ -600,7 +661,7 @@ fn same_instant_ticks(policy: Policy, events: &EventSequence) -> Vec<(SimTime, b
 fn the_panel_hits_a_directive_issuing_tick_that_shares_its_instant_with_a_completion() {
     // The committed fixture holds such a tick under Nimblock: the elided
     // run must queue it in the same place among that instant's events.
-    let events = fixture();
+    let events = fixture("same_instant_tick");
     let hits = same_instant_ticks(Policy::Nimblock, &events);
     assert!(!hits.is_empty(), "the fixture lost its same-instant tick");
     // A completion ahead of a tick has already consulted at that instant,
@@ -614,6 +675,26 @@ fn the_panel_hits_a_directive_issuing_tick_that_shares_its_instant_with_a_comple
         Policy::Nimblock,
         &events,
         "same-instant fixture",
+    )
+    .unwrap_or_else(|e| panic!("{e}"));
+}
+
+#[test]
+fn the_panel_hits_a_batch_preemption_at_an_item_boundary_without_a_tick() {
+    // The committed fixture holds one under Nimblock: a task finishes an
+    // item, is ready for its next one, and the every-consult schedule
+    // preempts it before the launch pass restarts it. The elided run
+    // consults there only because the hook, asked before the launches,
+    // re-runs the failed preemption search that ended the last consult;
+    // no tick shares the instant to consult.
+    let events = fixture("boundary_preempt");
+    let hits = boundary_preemptions(Policy::Nimblock, &events);
+    assert!(!hits.is_empty(), "the fixture lost its boundary preemption");
+    check_board(
+        &boards()[0],
+        Policy::Nimblock,
+        &events,
+        "boundary-preemption fixture",
     )
     .unwrap_or_else(|e| panic!("{e}"));
 }
