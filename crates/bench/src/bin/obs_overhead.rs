@@ -24,12 +24,13 @@
 //! regress is the plumbing between an emission point and the sinks:
 //! the gate attaches a *sink-less* monitor (zero window, ring, and
 //! alert capacity, no rules — nothing is retained) and checks that
-//! every lock, branch, and lazily-skipped string stays under `<pct>`
-//! percent of the plain run. A failure means monitoring work leaked
-//! outside the attached-monitor guards (an eager `format!`, a scan on
-//! the no-op path). Both configurations are measured as interleaved
-//! best-of-N pairs so machine drift cancels instead of biasing one
-//! side.
+//! every branch and lazily-skipped string stays under `<pct>` percent
+//! of the plain run (the hypervisor holds the monitor's state for the
+//! whole run, so an emission takes no lock). A failure means monitoring
+//! work leaked outside the attached-monitor guards (an eager `format!`,
+//! a scan on the no-op path). Both configurations are measured as
+//! interleaved best-of-N pairs so machine drift cancels instead of
+//! biasing one side.
 //!
 //! ```sh
 //! cargo run --release -p nimblock-bench --bin obs_overhead [-- --quick] [--gate 4]
@@ -100,8 +101,8 @@ fn run_monitored(events: &EventSequence) {
     assert_eq!(report.records().len(), 20);
 }
 
-/// A monitor that retains nothing: the emission points pay their locks
-/// and branches, the sinks drop everything on the floor. The marginal
+/// A monitor that retains nothing: the emission points pay their
+/// branches, the sinks drop everything on the floor. The marginal
 /// cost of this run over plain is the plumbing ceiling the gate bounds.
 fn sinkless_config() -> MonitorConfig {
     let mut config = MonitorConfig::default();

@@ -226,8 +226,9 @@ fn run_command(args: &RunArgs, out: &mut dyn Write) -> Result<(), CliError> {
         }
     };
     // A monitored run survives a sim panic long enough to dump the
-    // flight recorder: the handle's state is shared, so whatever was
-    // aggregated before the panic is still there.
+    // flight recorder: the hypervisor hands its monitor state back to the
+    // shared handle as the panic unwinds, so whatever was aggregated
+    // before the panic is still there.
     let (report, trace) = if monitor.is_some() {
         match std::panic::catch_unwind(std::panic::AssertUnwindSafe(run_it)) {
             Ok(result) => result,

@@ -400,6 +400,7 @@ fn run_board<S: Scheduler>(
             .set(sim.max_queue_depth() as i64);
     }
     let finished_at = sim.now();
+    sim.handler_mut().release_monitor();
     let monitor_state = monitor.map(|handle| {
         handle.with(|m| {
             m.finalize(finished_at.as_micros());

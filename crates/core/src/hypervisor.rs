@@ -111,9 +111,10 @@ pub struct Hypervisor<S> {
     /// different footprints do not share entries.
     bitstream_cache: HashMap<(String, usize, u64), nimblock_fpga::BitstreamId>,
     /// Continuous-observability sink (windowed time-series + flight
-    /// recorder + SLO engine). `None` (the default) keeps the hot path
+    /// recorder + SLO engine), held here for the length of the run so an
+    /// emission takes no lock. `None` (the default) keeps the hot path
     /// free of monitoring work beyond one branch per emission point.
-    monitor: Option<nimblock_obs::MonitorHandle>,
+    monitor: Option<HeldMonitor>,
     /// Set whenever an event may have changed the scheduling state, so
     /// the post-event occupancy sample (an O(apps × tasks) scan) is
     /// skipped on no-op ticks. The monitor carries the previous sample
@@ -162,14 +163,30 @@ impl<S: Scheduler> Hypervisor<S> {
     /// recorder, and the scheduling state (queue depth, waiting/running
     /// apps) is sampled after every event. Detached hypervisors skip all
     /// of this behind a single `Option` branch.
+    ///
+    /// The hypervisor takes the state out of `monitor` and updates it
+    /// without locking until [`Hypervisor::release_monitor`], or until it
+    /// is dropped, hands it back; a run that panics thus still leaves its
+    /// state in the handle for a post-mortem. A handle therefore serves
+    /// one running hypervisor at a time; runs one after another keep
+    /// aggregating into the same state.
     pub fn with_monitor(mut self, monitor: nimblock_obs::MonitorHandle) -> Self {
+        let mut state = monitor.with(std::mem::take);
         // Bind the monitor to this device so its utilization denominator
         // and per-slot abort tracking match regardless of how the handle
         // was constructed.
-        monitor.with(|m| m.set_slots(self.device.slot_count()));
-        self.monitor_samples = monitor.with(|m| m.config().window_capacity > 0);
-        self.monitor = Some(monitor);
+        state.set_slots(self.device.slot_count());
+        self.monitor_samples = state.config().window_capacity > 0;
+        self.monitor = Some(HeldMonitor { handle: monitor, state });
         self
+    }
+
+    /// Hands the attached monitor's state back to its handle; later
+    /// events are no longer monitored. Call it when the run ends, before
+    /// reading the handle.
+    pub fn release_monitor(&mut self) {
+        // Dropping the held state returns it.
+        self.monitor = None;
     }
 
     /// Enables fine-grained (mid-item) preemption with the given
@@ -355,27 +372,25 @@ impl<S: Scheduler> Hypervisor<S> {
                 }
             })
             .collect();
-        if let Some(monitor) = &self.monitor {
+        if let Some(HeldMonitor { state: m, .. }) = &mut self.monitor {
             let at = now.as_micros();
-            monitor.with(|m| {
-                m.on_arrival(at);
-                for _ in 0..cache_hits {
-                    m.on_cache(at, true);
-                }
-                for _ in 0..cache_misses {
-                    m.on_cache(at, false);
-                }
-                m.record(
-                    at,
-                    "arrival",
-                    || format!(
-                        "{id} {} batch={} priority={:?}",
-                        event.app().name(),
-                        event.batch_size(),
-                        event.priority(),
-                    ),
-                );
-            });
+            m.on_arrival(at);
+            for _ in 0..cache_hits {
+                m.on_cache(at, true);
+            }
+            for _ in 0..cache_misses {
+                m.on_cache(at, false);
+            }
+            m.record(
+                at,
+                "arrival",
+                || format!(
+                    "{id} {} batch={} priority={:?}",
+                    event.app().name(),
+                    event.batch_size(),
+                    event.priority(),
+                ),
+            );
         }
         nb_info!(
             "hv",
@@ -518,20 +533,18 @@ impl<S: Scheduler> Hypervisor<S> {
         self.metrics.slowdown_for(runtime.priority()).observe(slowdown_milli);
         self.metrics.response_quantiles.observe(response);
         self.metrics.slowdown_quantiles.observe(slowdown_milli);
-        if let Some(monitor) = &self.monitor {
+        if let Some(HeldMonitor { state: m, .. }) = &mut self.monitor {
             let at = now.as_micros();
             let weight = u64::from(runtime.priority().weight());
-            monitor.with(|m| {
-                m.on_retire(at, weight, response, slowdown_milli);
-                m.record(
-                    at,
-                    "retire",
-                    || format!(
-                        "{app} {} response={response}us slowdown_milli={slowdown_milli}",
-                        runtime.spec().name(),
-                    ),
-                );
-            });
+            m.on_retire(at, weight, response, slowdown_milli);
+            m.record(
+                at,
+                "retire",
+                || format!(
+                    "{app} {} response={response}us slowdown_milli={slowdown_milli}",
+                    runtime.spec().name(),
+                ),
+            );
         }
         nb_info!(
             "hv",
@@ -641,10 +654,10 @@ impl<S: Scheduler> Hypervisor<S> {
                     self.device
                         .abort_execution(slot)
                         .expect("running slot can be aborted");
-                    if let Some(monitor) = &self.monitor {
+                    if let Some(HeldMonitor { state: m, .. }) = &mut self.monitor {
                         // The aborted item's un-executed remainder leaves
                         // the busy series.
-                        monitor.with(|m| m.on_item_abort(slot.index(), now.as_micros()));
+                        m.on_item_abort(slot.index(), now.as_micros());
                     }
                     reconfig_start = now + checkpoint;
                 }
@@ -660,18 +673,16 @@ impl<S: Scheduler> Hypervisor<S> {
             victim.phases[victim_task.index()] = TaskPhase::Unplaced;
             victim.preemptions += 1;
             self.metrics.preemptions.inc();
-            if let Some(monitor) = &self.monitor {
+            if let Some(HeldMonitor { state: m, .. }) = &mut self.monitor {
                 let at = now.as_micros();
-                monitor.with(|m| {
-                    m.on_preempt(at);
-                    m.record(
-                        at,
-                        "preempt",
-                        // Lazy: evaluated only if the flight recorder
-                        // accepts the event. nimblock: allow(hot-path-no-alloc)
-                        || format!("slot={slot} victim={victim_app} task={victim_task}"),
-                    );
-                });
+                m.on_preempt(at);
+                m.record(
+                    at,
+                    "preempt",
+                    // Lazy: evaluated only if the flight recorder
+                    // accepts the event. nimblock: allow(hot-path-no-alloc)
+                    || format!("slot={slot} victim={victim_app} task={victim_task}"),
+                );
             }
             nb_debug!(
                 "hv",
@@ -718,17 +729,15 @@ impl<S: Scheduler> Hypervisor<S> {
                 until: done_at,
             });
         }
-        if let Some(monitor) = &self.monitor {
-            monitor.with(|m| {
-                m.on_reconfig(reconfig_start.as_micros(), done_at.as_micros());
-                m.record(
-                    reconfig_start.as_micros(),
-                    "reconfig",
-                    // Lazy: evaluated only if the flight recorder
-                    // accepts the event. nimblock: allow(hot-path-no-alloc)
-                    || format!("slot={slot} app={app} task={task} until={done_at}"),
-                );
-            });
+        if let Some(HeldMonitor { state: m, .. }) = &mut self.monitor {
+            m.on_reconfig(reconfig_start.as_micros(), done_at.as_micros());
+            m.record(
+                reconfig_start.as_micros(),
+                "reconfig",
+                // Lazy: evaluated only if the flight recorder
+                // accepts the event. nimblock: allow(hot-path-no-alloc)
+                || format!("slot={slot} app={app} task={task} until={done_at}"),
+            );
         }
         self.ticks.push(queue, done_at, HvEvent::ReconfigDone { slot });
     }
@@ -815,18 +824,16 @@ impl<S: Scheduler> Hypervisor<S> {
             }
             self.ticks
                 .push(queue, now + latency, HvEvent::ItemDone { app, task, slot, gen });
-            if let Some(monitor) = &self.monitor {
+            if let Some(HeldMonitor { state: m, .. }) = &mut self.monitor {
                 let until = now + latency;
-                monitor.with(|m| {
-                    m.on_item_launch(slot_index, now.as_micros(), until.as_micros());
-                    m.record(
-                        now.as_micros(),
-                        "item",
-                        // Lazy: evaluated only if the flight recorder
-                        // accepts the event. nimblock: allow(hot-path-no-alloc)
-                        || format!("slot={slot} app={app} task={task} item={item} until={until}"),
-                    );
-                });
+                m.on_item_launch(slot_index, now.as_micros(), until.as_micros());
+                m.record(
+                    now.as_micros(),
+                    "item",
+                    // Lazy: evaluated only if the flight recorder
+                    // accepts the event. nimblock: allow(hot-path-no-alloc)
+                    || format!("slot={slot} app={app} task={task} item={item} until={until}"),
+                );
             }
         }
     }
@@ -914,6 +921,22 @@ impl<S: Scheduler> Hypervisor<S> {
     }
 }
 
+/// A monitor's state, taken out of its shared handle for the length of a
+/// run. Dropping it puts the state back in the handle, on release and when
+/// a panicking run unwinds alike.
+#[derive(Debug)]
+struct HeldMonitor {
+    handle: nimblock_obs::MonitorHandle,
+    state: nimblock_obs::MonitorState,
+}
+
+impl Drop for HeldMonitor {
+    fn drop(&mut self) {
+        let state = std::mem::take(&mut self.state);
+        self.handle.with(|m| *m = state);
+    }
+}
+
 impl<S: Scheduler> Handler<HvEvent> for Hypervisor<S> {
     fn handle(&mut self, now: SimTime, event: HvEvent, queue: &mut EventQueue<HvEvent>) {
         if event != HvEvent::Tick {
@@ -938,7 +961,9 @@ impl<S: Scheduler> Handler<HvEvent> for Hypervisor<S> {
         };
         self.drive(now, boundary, queue);
         if self.monitor_dirty {
-            if let (true, Some(monitor)) = (self.monitor_samples, &self.monitor) {
+            if let (true, Some(HeldMonitor { state: m, .. })) =
+                (self.monitor_samples, &mut self.monitor)
+            {
                 // Sample the post-event scheduling state: unplaced tasks
                 // (work backlog), slotless apps, and apps holding a slot.
                 // Only when the state may have changed — no-op ticks skip
@@ -962,7 +987,7 @@ impl<S: Scheduler> Handler<HvEvent> for Hypervisor<S> {
                         waiting += 1;
                     }
                 }
-                monitor.with(|m| m.sample(now.as_micros(), queue_depth, waiting, running));
+                m.sample(now.as_micros(), queue_depth, waiting, running);
             }
             self.monitor_dirty = false;
         }

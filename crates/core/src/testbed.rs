@@ -149,6 +149,7 @@ impl<S: Scheduler> Testbed<S> {
         Self::export_sim_metrics(registry.as_ref(), &sim);
         let finished_at = sim.now();
         if let Some(monitor) = &monitor {
+            sim.handler_mut().release_monitor();
             monitor.with(|m| m.finalize(finished_at.as_micros()));
         }
         let mut hypervisor = sim.into_handler();
@@ -237,6 +238,7 @@ impl<S: Scheduler> Testbed<S> {
         Self::export_sim_metrics(registry.as_ref(), &sim);
         let finished_at = sim.now();
         if let Some(monitor) = &monitor {
+            sim.handler_mut().release_monitor();
             monitor.with(|m| m.finalize(finished_at.as_micros()));
         }
         sim.into_handler().into_report(finished_at)
@@ -334,6 +336,26 @@ mod tests {
                 window.busy_micros
             );
         }
+        assert!(!doc.recorder.is_empty());
+    }
+
+    #[test]
+    fn a_panicking_monitored_run_leaves_its_state_in_the_handle() {
+        let events = generate(9, 6, Scenario::Standard);
+        let config = nimblock_obs::MonitorConfig::with_window_micros(1_000_000);
+        let monitor = nimblock_obs::MonitorHandle::new(config, 0);
+        // A horizon well before the run ends makes it panic mid-run.
+        let testbed = Testbed::new(NimblockScheduler::new())
+            .with_monitor(monitor.clone())
+            .with_horizon(SimTime::from_secs(120));
+        let outcome =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| testbed.run(&events)));
+        assert!(outcome.is_err(), "the horizon cuts the run short");
+        // The hypervisor held the state; unwinding handed it back.
+        let doc = monitor.to_doc();
+        assert_eq!(doc.slots, 10);
+        let arrivals: u64 = doc.windows.iter().map(|w| w.arrivals).sum();
+        assert!(arrivals > 0, "the arrivals before the horizon were kept");
         assert!(!doc.recorder.is_empty());
     }
 

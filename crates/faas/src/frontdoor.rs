@@ -143,6 +143,9 @@ impl FrontDoorConfig {
         if header.max_items == 0 || header.chunk == 0 {
             return Err("trace header has zero max_items or chunk".into());
         }
+        let max_items = u32::try_from(header.max_items).map_err(|_| {
+            format!("trace header max_items {} exceeds {}", header.max_items, u32::MAX)
+        })?;
         Ok(FrontDoorConfig {
             seed: header.seed,
             invocations: header.invocations,
@@ -158,7 +161,7 @@ impl FrontDoorConfig {
             threads: header.threads as usize,
             policy,
             reconfig: SimDuration::from_micros(header.reconfig_micros),
-            max_items: header.max_items as u32,
+            max_items,
             shed_horizon: SimDuration::from_micros(header.shed_horizon_micros),
             chunk: header.chunk as usize,
         })
@@ -1065,5 +1068,20 @@ mod tests {
             scaled.counters.shed(),
             base.counters.shed()
         );
+    }
+
+    #[test]
+    fn trace_header_max_items_past_u32_is_an_error() {
+        let door = FrontDoor::new(FunctionRegistry::benchmark_suite(), FrontDoorConfig::new(3));
+        let mut header = door.trace_header(1.0);
+        header.max_items = u64::from(u32::MAX);
+        let config = FrontDoorConfig::from_trace_header(&header).expect("u32::MAX fits");
+        assert_eq!(config.max_items, u32::MAX);
+        // 2^32 used to truncate to zero items and panic in `FrontDoor::new`.
+        for max_items in [0, 1 << 32, u64::MAX] {
+            header.max_items = max_items;
+            let err = FrontDoorConfig::from_trace_header(&header).unwrap_err();
+            assert!(err.contains("max_items"), "{max_items}: {err}");
+        }
     }
 }

@@ -1,6 +1,9 @@
 //! Fast list-scheduled makespan estimation.
 
-use nimblock_app::{TaskGraph, TaskId};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+use nimblock_app::TaskGraph;
 use nimblock_sim::{SimDuration, SimTime};
 
 /// Configuration of a [`PipelineEstimator`].
@@ -56,12 +59,6 @@ pub struct PipelineEstimator {
     config: EstimatorConfig,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Event {
-    ReconfigDone(TaskId),
-    ItemDone(TaskId),
-}
-
 impl PipelineEstimator {
     /// Creates an estimator with the given configuration.
     pub fn new(config: EstimatorConfig) -> Self {
@@ -80,81 +77,91 @@ impl PipelineEstimator {
     ///
     /// Panics if `slots` is zero or `batch` is zero.
     pub fn makespan(&self, graph: &TaskGraph, batch: u32, slots: usize) -> SimDuration {
+        self.makespan_in(graph, batch, slots, &mut Workspace::default())
+    }
+
+    /// [`PipelineEstimator::makespan`] in caller-owned buffers, so a sweep
+    /// over slot counts allocates them once.
+    ///
+    /// The list schedule is a max-plus recurrence, computed in one pass
+    /// over the topological order. Tasks configure in that order, one slot
+    /// each, and reconfigurations serialize on the CAP. The first `slots`
+    /// tasks start configuring at zero; every later one takes the slot
+    /// freed by the earliest batch completion not yet taken. Item `i` of a
+    /// task ends `latency` after the latest of its configuration's end,
+    /// its own item `i - 1`, and each predecessor's item `i` (its last
+    /// item without pipelining). The makespan is the last batch completion.
+    pub(crate) fn makespan_in(
+        &self,
+        graph: &TaskGraph,
+        batch: u32,
+        slots: usize,
+        work: &mut Workspace,
+    ) -> SimDuration {
         assert!(slots > 0, "need at least one slot");
         assert!(batch > 0, "need at least one batch item");
-        let n = graph.task_count();
-        let topo = graph.topological_order();
-
-        // Items each task has finished.
-        let mut done = vec![0u32; n];
-        // Configured tasks with no item in flight and items left, in
-        // task-id order. Each holds a slot, so there are at most `slots`.
-        let mut idle: Vec<TaskId> = Vec::with_capacity(slots.min(n));
-        // Every pending event holds a slot too (a reconfiguration in
-        // progress, or an item on a configured task). They are kept in push
-        // order and pop by time, earliest pushed first among equal times.
-        let mut pending: Vec<(SimTime, Event)> = Vec::with_capacity(slots.min(n));
-        let mut free_slots = slots;
+        let batch = batch as usize;
+        // Item end times, one row of `batch` per task id.
+        let finish = &mut work.finish;
+        finish.clear();
+        finish.resize(graph.task_count() * batch, SimTime::ZERO);
+        // Batch completions whose slot no configuration has taken yet.
+        // They pop in time order: a task configured after a pop finishes
+        // no earlier than that pop, so what it pushes cannot precede it.
+        let freed = &mut work.freed;
+        freed.clear();
         let mut cap_free_at = SimTime::ZERO;
-        // Tasks configure in topological order. When `topo[next]` is due,
-        // every task before it has started, hence so have all its
-        // predecessors, so reconfiguration overlaps upstream compute.
-        let mut next = 0;
-        let mut now = SimTime::ZERO;
-        loop {
-            // Configure the next tasks while slots allow; reconfigurations
-            // serialize on the CAP.
-            while free_slots > 0 && next < n {
-                free_slots -= 1;
-                cap_free_at = now.max(cap_free_at) + self.config.reconfig;
-                pending.push((cap_free_at, Event::ReconfigDone(topo[next])));
-                next += 1;
+        let mut makespan = SimTime::ZERO;
+        for (j, &task) in graph.topological_order().iter().enumerate() {
+            let slot_free_at = if j < slots {
+                SimTime::ZERO
+            } else {
+                // `j` tasks have configured and `slots` of them took the
+                // empty device, so `j - slots` completions have been taken.
+                freed
+                    .pop()
+                    .expect("each task past the first `slots` frees one")
+                    .0
+            };
+            cap_free_at = slot_free_at.max(cap_free_at) + self.config.reconfig;
+            let row = task.index() * batch;
+            // Seed the row with when each item's inputs are ready, then
+            // chain the items through the task in order.
+            if self.config.pipelining {
+                finish[row..row + batch].fill(cap_free_at);
+                for &pred in graph.predecessors(task) {
+                    let pred_row = pred.index() * batch;
+                    for i in 0..batch {
+                        finish[row + i] = finish[row + i].max(finish[pred_row + i]);
+                    }
+                }
+            } else {
+                let inputs_ready = graph
+                    .predecessors(task)
+                    .iter()
+                    .map(|pred| finish[pred.index() * batch + batch - 1])
+                    .fold(cap_free_at, SimTime::max);
+                finish[row..row + batch].fill(inputs_ready);
             }
-            // Launch an item on every idle task whose dependency for its
-            // next item is satisfied, in task-id order.
-            idle.retain(|&task| {
-                let own = done[task.index()];
-                let ready = graph.predecessors(task).iter().all(|&p| {
-                    let upstream = done[p.index()];
-                    if self.config.pipelining {
-                        upstream > own
-                    } else {
-                        upstream == batch
-                    }
-                });
-                if ready {
-                    pending.push((now + graph.task(task).latency(), Event::ItemDone(task)));
-                }
-                !ready
-            });
-            let Some(first) = (0..pending.len()).min_by_key(|&i| pending[i].0) else {
-                break;
-            };
-            let (at, event) = pending.remove(first);
-            now = at;
-            let task = match event {
-                Event::ReconfigDone(task) => task,
-                Event::ItemDone(task) => {
-                    done[task.index()] += 1;
-                    if done[task.index()] == batch {
-                        free_slots += 1;
-                        continue;
-                    }
-                    task
-                }
-            };
-            let at = idle.partition_point(|&t| t < task);
-            idle.insert(at, task);
+            let latency = graph.task(task).latency();
+            let mut done = SimTime::ZERO;
+            for end in &mut finish[row..row + batch] {
+                done = done.max(*end) + latency;
+                *end = done;
+            }
+            freed.push(Reverse(done));
+            makespan = makespan.max(done);
         }
-
-        debug_assert!(
-            done.iter().all(|&d| d == batch),
-            "estimator ran out of events with unfinished tasks — scheduling deadlock"
-        );
-        // The last event is always an item completion: a configured task
-        // still has its whole batch to run.
-        now.elapsed()
+        makespan.elapsed()
     }
+}
+
+/// The buffers of one makespan estimate, reused across the slot counts of
+/// a saturation sweep.
+#[derive(Debug, Default)]
+pub(crate) struct Workspace {
+    finish: Vec<SimTime>,
+    freed: BinaryHeap<Reverse<SimTime>>,
 }
 
 #[cfg(test)]
@@ -206,6 +213,33 @@ mod tests {
         // t0 cfg at 80, items at 180, 280. t1 cfg at 160.
         // t1 item0 starts at 180 -> 280; item1 at 280 -> 380.
         assert_eq!(est.makespan(&graph, 2, 2), SimDuration::from_millis(380));
+    }
+
+    #[test]
+    fn third_task_of_a_chain_waits_for_a_freed_slot() {
+        let graph = chain(&[100, 100, 100]);
+        let est = PipelineEstimator::new(config(true));
+        // t0 cfg 0..80, items end 180, 280: batch done at 280.
+        // t1 cfg 80..160, items end max(160, 180) + 100 = 280, then 380.
+        // t2 takes t0's slot at 280: cfg 280..360, items end
+        // max(360, 280) + 100 = 460, then max(460, 380) + 100 = 560.
+        assert_eq!(est.makespan(&graph, 2, 2), SimDuration::from_millis(560));
+        // With a third slot t2 configures at 160..240 instead:
+        // items end max(240, 280) + 100 = 380, then 480.
+        assert_eq!(est.makespan(&graph, 2, 3), SimDuration::from_millis(480));
+    }
+
+    #[test]
+    fn a_freed_slot_goes_to_the_earliest_batch_completion() {
+        let mut builder = TaskGraphBuilder::new();
+        for (name, ms) in [("long", 300), ("short", 50), ("last", 100)] {
+            builder.add_task(TaskSpec::new(name, SimDuration::from_millis(ms)));
+        }
+        let graph = builder.build().unwrap();
+        let est = PipelineEstimator::new(config(true));
+        // long cfg 0..80, done 380; short cfg 80..160, done 210. `last`
+        // takes short's slot, not long's: cfg 210..290, done 390.
+        assert_eq!(est.makespan(&graph, 1, 2), SimDuration::from_millis(390));
     }
 
     #[test]

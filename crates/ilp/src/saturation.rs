@@ -11,6 +11,7 @@ use nimblock_ser::impl_json_struct;
 use nimblock_app::{AppSpec, TaskGraph};
 use nimblock_sim::SimDuration;
 
+use crate::estimator::Workspace;
 use crate::{EstimatorConfig, IlpError, PipelineEstimator, Problem, Relation, Sense};
 
 /// Fractional improvement below which an additional slot is considered
@@ -114,8 +115,9 @@ pub fn analyze_with(
     max_slots: usize,
     threshold: f64,
 ) -> SaturationAnalysis {
+    let mut work = Workspace::default();
     let makespans: Vec<SimDuration> = (1..=max_slots)
-        .map(|k| estimator.makespan(app.graph(), batch_size, k))
+        .map(|k| estimator.makespan_in(app.graph(), batch_size, k, &mut work))
         .collect();
     let goal_number = knee(max_slots, threshold, |k| makespans[k - 1]);
     SaturationAnalysis {
@@ -156,7 +158,8 @@ pub fn goal_number(
     max_slots: usize,
     threshold: f64,
 ) -> usize {
-    knee(max_slots, threshold, |k| estimator.makespan(graph, batch_size, k))
+    let mut work = Workspace::default();
+    knee(max_slots, threshold, |k| estimator.makespan_in(graph, batch_size, k, &mut work))
 }
 
 /// Returns the saturation point of the makespan curve `makespan(1..=max_slots)`:

@@ -1,12 +1,15 @@
 //! Differential oracle for the makespan estimator (`nimblock-ilp`).
 //!
-//! `PipelineEstimator::makespan` replays its list schedule on a slot-bounded
-//! event set and configures tasks through a cursor over the topological
-//! order. The event-queue formulation it replaced is kept here, test-only,
-//! as the reference: it drives the simulator's `EventQueue`, rescans the
-//! unconfigured list for the first task whose predecessors have started,
-//! and launches items from an ordered candidate set. Every makespan, and so
-//! every goal number and every schedule built on them, must be identical.
+//! `PipelineEstimator::makespan` computes its list schedule as a max-plus
+//! recurrence in one pass over the topological order, with no events: a
+//! task's configuration waits for the CAP and for the batch completion that
+//! frees its slot, and each item waits for the configuration, for the
+//! task's previous item and for its inputs. The event-queue formulation it
+//! replaced is kept here, test-only, as the reference: it drives the
+//! simulator's `EventQueue`, rescans the unconfigured list for the first
+//! task whose predecessors have started, and launches items from an
+//! ordered candidate set. Every makespan, and so every goal number and
+//! every schedule built on them, must be identical.
 
 use std::collections::BTreeSet;
 
@@ -144,14 +147,16 @@ fn benchmark_panel_matches_the_queue_driven_reference() {
 }
 
 /// A random DAG whose task ids are shuffled against its topological order,
-/// with latencies drawn from three values so that completions, and
-/// reconfigurations at the shorter latencies, often share a timestamp.
+/// with latencies drawn from four values, zero among them, so that
+/// completions, and reconfigurations at the shorter latencies, often share
+/// a timestamp. Up to 40 tasks, as many as AlexNet's 38, so that slot
+/// counts below the task count hand slots from finished tasks to later ones.
 fn tied_dag(g: &mut Gen) -> TaskGraph {
-    let n = g.usize(1..=12);
+    let n = g.usize(1..=40);
     let mut builder = TaskGraphBuilder::new();
     let ids: Vec<TaskId> = (0..n)
         .map(|i| {
-            let ms = *g.pick(&[10u64, 20, 30]);
+            let ms = *g.pick(&[0u64, 10, 20, 30]);
             builder.add_task(TaskSpec::new(format!("t{i}"), SimDuration::from_millis(ms)))
         })
         .collect();
@@ -177,7 +182,7 @@ fn random_dags_with_tied_timestamps_match_the_reference() {
     check_with(cases, "random_dags_with_tied_timestamps_match_the_reference", |g| {
         let graph = tied_dag(g);
         let config = config(*g.pick(&[0u64, 10, 20, 80]), g.bool());
-        let batch = g.u32(1..=8);
+        let batch = g.u32(1..=30);
         let slots = g.usize(1..=graph.task_count() + 2);
         prop_assert_eq!(
             PipelineEstimator::new(config).makespan(&graph, batch, slots),
