@@ -146,13 +146,12 @@ impl AppSpec {
     ///
     /// This is the *single-slot latency* the paper scales by the deadline
     /// factor `D_s` to define deadlines (§5.4).
+    ///
+    /// O(1): the per-item sum is [`TaskGraph::total_latency`], which the
+    /// graph computes once.
     pub fn single_slot_latency(&self, batch_size: u32, reconfig: SimDuration) -> SimDuration {
         let reconfigs = reconfig.saturating_mul(self.graph.task_count() as u64);
-        let compute = self
-            .graph
-            .tasks()
-            .map(|(_, t)| t.latency().saturating_mul(u64::from(batch_size)))
-            .sum();
+        let compute = self.graph.total_latency().saturating_mul(u64::from(batch_size));
         reconfigs + compute
     }
 }

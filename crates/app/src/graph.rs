@@ -214,6 +214,8 @@ pub struct TaskGraph {
     succs: Vec<Vec<TaskId>>,
     topo: Vec<TaskId>,
     levels: Vec<u32>,
+    /// Σ task latencies (saturating): one batch item on a single slot.
+    item_latency: SimDuration,
 }
 
 // Only `tasks` and `edges` are written. Decoding rebuilds every derived
@@ -277,6 +279,10 @@ impl TaskGraph {
         if topo.len() != n {
             return Err(GraphError::Cycle);
         }
+        // Saturating, so an untrusted graph cannot overflow here.
+        let item_latency = tasks
+            .iter()
+            .fold(SimDuration::ZERO, |sum, t| sum.saturating_add(t.latency()));
         Ok(TaskGraph {
             tasks,
             edges,
@@ -284,6 +290,7 @@ impl TaskGraph {
             succs,
             topo,
             levels,
+            item_latency,
         })
     }
 
@@ -397,8 +404,9 @@ impl TaskGraph {
 
     /// Returns the sum of all task latency estimates — the application
     /// latency estimate the hypervisor derives from HLS output (paper §4.1).
+    /// Computed once, at construction; it saturates at `SimDuration::MAX`.
     pub fn total_latency(&self) -> SimDuration {
-        self.tasks.iter().map(TaskSpec::latency).sum()
+        self.item_latency
     }
 
     /// Returns the latency of the longest dependency path (per batch item).
@@ -579,6 +587,9 @@ mod tests {
     fn total_latency_sums_all_tasks() {
         assert_eq!(diamond().total_latency(), SimDuration::from_millis(100));
         assert_eq!(chain(3).total_latency(), SimDuration::from_millis(30));
+        // A decoded graph is untrusted: its sum saturates, never overflows.
+        let huge = TaskGraphBuilder::chain([("a", SimDuration::MAX), ("b", SimDuration::MAX)]);
+        assert_eq!(huge.total_latency(), SimDuration::MAX);
     }
 
     #[test]

@@ -48,6 +48,9 @@ pub enum HvEvent {
     },
     /// The task on `slot` finished one batch item.
     ///
+    /// The event names no task: [`Hypervisor::item_owner`] reads it from
+    /// the slot table while `gen` is still the slot's launch generation.
+    ///
     /// A completion that leaves the task holding its slot (items of its
     /// batch remain) is an *item boundary*, the point at which the task may
     /// be batch-preempted; so is a stale completion, which changes nothing.
@@ -59,11 +62,7 @@ pub enum HvEvent {
     /// every event. A completion that finishes the task's batch frees its
     /// slot and always consults.
     ItemDone {
-        /// Application owning the task.
-        app: AppId,
-        /// The task that finished an item.
-        task: TaskId,
-        /// The slot it ran on.
+        /// The slot the item ran on.
         slot: SlotId,
         /// Launch generation of the slot; stale completions (the item was
         /// aborted by a fine-grained preemption) are ignored.
@@ -82,10 +81,14 @@ pub struct Hypervisor<S> {
     scheduler: S,
     stimulus: Vec<ArrivalEvent>,
     apps: AppArena,
-    bindings: Vec<Option<(AppId, TaskId)>>,
-    /// Reusable slot-snapshot buffer for [`SchedView`]s, refreshed in place
-    /// at every scheduling point so the per-event path allocates nothing.
-    snapshot_buf: Vec<SlotBinding>,
+    /// The slot table: every slot's hardware state and bound task, in slot
+    /// order, which every [`SchedView`] borrows as it is. It is updated in
+    /// place where a slot changes (begin and finish reconfiguration; begin,
+    /// finish and abort execution; release).
+    slots: Vec<SlotBinding>,
+    /// The slots the next launch pass visits (see
+    /// [`Hypervisor::launch_items`]).
+    launch_set: SlotSet,
     records: Vec<ResponseRecord>,
     next_app_raw: u64,
     arrivals_seen: usize,
@@ -131,13 +134,23 @@ impl<S: Scheduler> Hypervisor<S> {
     /// as the simulation delivers [`HvEvent::Arrival`]s.
     pub fn new(device: Device, scheduler: S, stimulus: Vec<ArrivalEvent>) -> Self {
         let slot_count = device.slot_count();
+        let slots = device
+            .slots()
+            .iter()
+            .map(|slot| SlotBinding {
+                slot: slot.id(),
+                state: slot.state(),
+                bound: None,
+                resources: *slot.resources(),
+            })
+            .collect();
         Hypervisor {
             device,
             scheduler,
             stimulus,
             apps: AppArena::new(),
-            bindings: vec![None; slot_count],
-            snapshot_buf: Vec::with_capacity(slot_count),
+            slots,
+            launch_set: SlotSet::new(slot_count),
             records: Vec::new(),
             next_app_raw: 0,
             arrivals_seen: 0,
@@ -286,6 +299,19 @@ impl<S: Scheduler> Hypervisor<S> {
         &self.records
     }
 
+    /// Returns the task whose item an [`HvEvent::ItemDone`] on `slot` with
+    /// launch generation `gen` completes, or `None` if the completion is
+    /// stale. Every launch and every abort moves the slot's generation, and
+    /// a running task keeps its slot until its item completes or is
+    /// aborted, so while `gen` is current the slot is still bound to the
+    /// task that launched the item.
+    pub fn item_owner(&self, slot: SlotId, gen: u64) -> Option<(AppId, TaskId)> {
+        if self.launch_gen.get(slot.index()) != Some(&gen) {
+            return None;
+        }
+        self.slots[slot.index()].bound
+    }
+
     /// Returns how many launches were deferred for lack of buffer memory.
     pub fn alloc_stalls(&self) -> u64 {
         self.metrics.alloc_stalls.get()
@@ -304,19 +330,13 @@ impl<S: Scheduler> Hypervisor<S> {
             .with_counters(self.metrics.run_counters())
     }
 
-    /// Refreshes the reusable slot snapshot in place. [`SchedView`]s are
-    /// then built from `&self.snapshot_buf` and `&self.apps` directly —
-    /// disjoint field borrows, so the scheduler (another field) can still
-    /// be called mutably while the view is alive.
-    fn refresh_snapshot(&mut self) {
-        self.snapshot_buf.clear();
-        self.snapshot_buf
-            .extend(self.device.slots().iter().map(|slot| SlotBinding {
-                slot: slot.id(),
-                state: slot.state(),
-                bound: self.bindings[slot.id().index()],
-                resources: *slot.resources(),
-            }));
+    /// Copies `slot`'s hardware state from the device into the slot table,
+    /// after a device call moved it. [`SchedView`]s are built from
+    /// `&self.slots` and `&self.apps` directly — disjoint field borrows, so
+    /// the scheduler (another field) can still be called mutably while the
+    /// view is alive.
+    fn sync_slot(&mut self, slot: SlotId) {
+        self.slots[slot.index()].state = self.device.slots()[slot.index()].state();
     }
 
     /// Admits stimulus event `index`: registers its bitstreams, creates the
@@ -418,11 +438,10 @@ impl<S: Scheduler> Hypervisor<S> {
                 at: now,
             });
         }
-        self.refresh_snapshot();
         let view = SchedView {
             now,
             apps: &self.apps,
-            slots: &self.snapshot_buf,
+            slots: &self.slots,
             reconfig_latency: self.device.nominal_reconfig_latency(),
             interconnect: self.interconnect,
         };
@@ -433,48 +452,52 @@ impl<S: Scheduler> Hypervisor<S> {
         nb_trace!("cap", "msg=\"reconfig done\" slot={slot} at={now}");
         self.metrics.reconfig_queue_depth.add(-1);
         self.device.finish_reconfiguration(slot);
-        let (app, task) = self.bindings[slot.index()]
+        self.sync_slot(slot);
+        let (app, task) = self.slots[slot.index()]
+            .bound
             .expect("reconfiguration completed on an unbound slot");
         let runtime = self.apps.get_mut(app).expect("bound app is live");
         debug_assert_eq!(runtime.phases[task.index()], TaskPhase::Reconfiguring(slot));
         runtime.phases[task.index()] = TaskPhase::Idle(slot);
+        self.launch_set.insert(slot.index());
     }
 
     /// Records one finished item. Returns `true` at an item boundary: the
     /// task keeps its slot for its next item, or the completion is stale.
-    fn on_item_done(
-        &mut self,
-        app: AppId,
-        task: TaskId,
-        slot: SlotId,
-        now: SimTime,
-        gen: u64,
-    ) -> bool {
-        if gen != self.launch_gen[slot.index()] {
+    fn on_item_done(&mut self, slot: SlotId, gen: u64, now: SimTime) -> bool {
+        let Some((app, task)) = self.item_owner(slot, gen) else {
             // The launch this completion belongs to was aborted by a
             // fine-grained preemption; its progress is checkpointed.
             self.metrics.stale_completions.inc();
             return true;
-        }
+        };
         self.metrics.items.inc();
         self.device.finish_execution(slot);
+        self.sync_slot(slot);
         let runtime = self.apps.get_mut(app).expect("running app is live");
         debug_assert_eq!(runtime.phases[task.index()], TaskPhase::Running(slot));
         runtime.item_progress[task.index()] = nimblock_sim::SimDuration::ZERO;
         runtime.item_started[task.index()] = None;
         runtime.items_done[task.index()] += 1;
         runtime.run_time += runtime.spec().graph().task(task).latency();
+        // The finished item is an input an idle successor may wait for.
+        for &succ in runtime.spec().graph().successors(task) {
+            if let TaskPhase::Idle(succ_slot) = runtime.phases[succ.index()] {
+                self.launch_set.insert(succ_slot.index());
+            }
+        }
         if runtime.items_done[task.index()] < runtime.batch_size() {
             runtime.phases[task.index()] = TaskPhase::Idle(slot);
+            self.launch_set.insert(slot.index());
             return true;
         }
         runtime.phases[task.index()] = TaskPhase::Done;
-        self.bindings[slot.index()] = None;
+        self.slots[slot.index()].bound = None;
         self.device
             .release_slot(slot)
             .expect("slot of a completed task is idle");
-        // A buffer becomes freeable only when a task reaches `Done`.
-        self.free_consumed_buffers(app);
+        self.sync_slot(slot);
+        self.free_consumed_buffers(app, task);
         if self.apps[app].is_complete() {
             self.retire(app, now);
         }
@@ -483,18 +506,21 @@ impl<S: Scheduler> Hypervisor<S> {
 
     /// Relinquishes output buffers whose data no consumer still needs
     /// (paper §2.2: "the hypervisor relinquishes the unneeded data
-    /// buffers").
-    fn free_consumed_buffers(&mut self, app: AppId) {
+    /// buffers"), now that `task` has reached `Done`. A buffer is freeable
+    /// once its producer and every consumer are done; the last of them to
+    /// finish is `task` or one of its successors, so only the buffers of
+    /// `task` and of its predecessors can have become freeable.
+    fn free_consumed_buffers(&mut self, app: AppId, task: TaskId) {
         let runtime = self.apps.get_mut(app).expect("app is live");
-        let graph = Arc::clone(runtime.spec()).graph_arc();
-        for task in graph.task_ids() {
-            let producer_done = runtime.phases[task.index()] == TaskPhase::Done;
-            let consumers_done = graph
-                .successors(task)
-                .iter()
-                .all(|&s| runtime.phases[s.index()] == TaskPhase::Done);
-            if producer_done && consumers_done {
-                if let Some(buffer) = runtime.buffers[task.index()].take() {
+        let graph = runtime.spec().graph_arc();
+        for &producer in std::iter::once(&task).chain(graph.predecessors(task)) {
+            let consumed = runtime.phases[producer.index()] == TaskPhase::Done
+                && graph
+                    .successors(producer)
+                    .iter()
+                    .all(|&s| runtime.phases[s.index()] == TaskPhase::Done);
+            if consumed {
+                if let Some(buffer) = runtime.buffers[producer.index()].take() {
                     self.device
                         .memory_mut()
                         .free(buffer)
@@ -564,11 +590,10 @@ impl<S: Scheduler> Hypervisor<S> {
             reconfig_time: runtime.reconfig_time,
             preemptions: runtime.preemptions,
         });
-        self.refresh_snapshot();
         let view = SchedView {
             now,
             apps: &self.apps,
-            slots: &self.snapshot_buf,
+            slots: &self.slots,
             reconfig_latency: self.device.nominal_reconfig_latency(),
             interconnect: self.interconnect,
         };
@@ -610,7 +635,7 @@ impl<S: Scheduler> Hypervisor<S> {
         );
         // Preempt the current occupant, if any.
         let mut reconfig_start = now;
-        if let Some((victim_app, victim_task)) = self.bindings[slot.index()] {
+        if let Some((victim_app, victim_task)) = self.slots[slot.index()].bound {
             assert!(
                 (victim_app, victim_task) != (app, task),
                 "directive reconfigures {task} of {app} onto its own slot"
@@ -654,6 +679,7 @@ impl<S: Scheduler> Hypervisor<S> {
                     self.device
                         .abort_execution(slot)
                         .expect("running slot can be aborted");
+                    self.sync_slot(slot);
                     if let Some(HeldMonitor { state: m, .. }) = &mut self.monitor {
                         // The aborted item's un-executed remainder leaves
                         // the busy series.
@@ -688,7 +714,7 @@ impl<S: Scheduler> Hypervisor<S> {
                 "hv",
                 "msg=\"preempt\" slot={slot} victim={victim_app} task={victim_task} at={now}"
             );
-            self.bindings[slot.index()] = None;
+            self.slots[slot.index()].bound = None;
             if let Some(trace) = &mut self.trace {
                 trace.record(TraceEvent::Preempt {
                     slot,
@@ -703,6 +729,8 @@ impl<S: Scheduler> Hypervisor<S> {
             .device
             .begin_reconfiguration(slot, bitstream, reconfig_start)
             .expect("directive validated against device state");
+        self.sync_slot(slot);
+        self.slots[slot.index()].bound = Some((app, task));
         let runtime = self.apps.get_mut(app).expect("checked above");
         runtime.phases[task.index()] = TaskPhase::Reconfiguring(slot);
         runtime.reconfig_time += done_at.saturating_since(now);
@@ -715,7 +743,6 @@ impl<S: Scheduler> Hypervisor<S> {
             "cap",
             "msg=\"reconfig\" slot={slot} app={app} task={task} start={reconfig_start} done={done_at}"
         );
-        self.bindings[slot.index()] = Some((app, task));
         if let Some(trace) = &mut self.trace {
             // Traced at the stream start, not the decision instant: under
             // fine-grained preemption the checkpoint save delays the
@@ -744,14 +771,25 @@ impl<S: Scheduler> Hypervisor<S> {
 
     /// Feeds the next batch item to every idle task whose dependencies
     /// allow it (under the policy's pipelining rule).
+    ///
+    /// Only the slots in the launch set are visited, in ascending order, so
+    /// launches, buffer allocations and queue pushes come in the order of a
+    /// scan over every slot. A bound task can start an item only once it is
+    /// idle on its slot and its dependencies allow its next item, so a slot
+    /// joins the set when its task becomes idle on it (its reconfiguration
+    /// completes, or it finishes an item and keeps the slot) and when a
+    /// predecessor of its idle task finishes an item. A visit takes the
+    /// slot out of the set unless its launch stalls on buffer memory; a
+    /// stalled launch stays in for every later pass to retry.
     fn launch_items(&mut self, now: SimTime, queue: &mut EventQueue<HvEvent>) {
         let pipelining = self.scheduler.pipelining();
         self.launch_stalled = false;
-        for slot_index in 0..self.bindings.len() {
-            let Some((app, task)) = self.bindings[slot_index] else {
+        let mut next = 0;
+        while let Some(slot_index) = self.launch_set.pop_from(next) {
+            next = slot_index + 1;
+            let SlotBinding { slot, bound: Some((app, task)), .. } = self.slots[slot_index] else {
                 continue;
             };
-            let slot = SlotId::new(slot_index as u32);
             let runtime = self.apps.get_mut(app).expect("bound app is live");
             if runtime.phases[task.index()] != TaskPhase::Idle(slot) {
                 continue;
@@ -772,6 +810,7 @@ impl<S: Scheduler> Hypervisor<S> {
                         // have been relinquished.
                         self.metrics.alloc_stalls.inc();
                         self.launch_stalled = true;
+                        self.launch_set.insert(slot_index);
                         nb_debug!(
                             "hv",
                             "msg=\"alloc stall\" app={app} task={task} at={now}"
@@ -783,6 +822,7 @@ impl<S: Scheduler> Hypervisor<S> {
             self.device
                 .begin_execution(slot)
                 .expect("idle bound slot is configured");
+            self.sync_slot(slot);
             self.launch_gen[slot_index] += 1;
             let gen = self.launch_gen[slot_index];
             let runtime = self.apps.get_mut(app).expect("bound app is live");
@@ -793,7 +833,7 @@ impl<S: Scheduler> Hypervisor<S> {
             // Fetch the item's inputs: from predecessors' slots when they
             // are resident, from PS memory otherwise (application inputs,
             // or producers that already left the fabric).
-            let slot_count = self.bindings.len();
+            let slot_count = self.slots.len();
             let preds = runtime.spec().graph().predecessors(task);
             let fetch = if preds.is_empty() {
                 self.interconnect.fetch_latency(None, slot, slot_count)
@@ -823,7 +863,7 @@ impl<S: Scheduler> Hypervisor<S> {
                 });
             }
             self.ticks
-                .push(queue, now + latency, HvEvent::ItemDone { app, task, slot, gen });
+                .push(queue, now + latency, HvEvent::ItemDone { slot, gen });
             if let Some(HeldMonitor { state: m, .. }) = &mut self.monitor {
                 let until = now + latency;
                 m.on_item_launch(slot_index, now.as_micros(), until.as_micros());
@@ -841,11 +881,10 @@ impl<S: Scheduler> Hypervisor<S> {
     /// Asks the policy when a consult on the current state can next do
     /// something new (see [`Scheduler::next_decision_change`]).
     fn next_decision_change(&mut self, now: SimTime) -> Option<SimTime> {
-        self.refresh_snapshot();
         let view = SchedView {
             now,
             apps: &self.apps,
-            slots: &self.snapshot_buf,
+            slots: &self.slots,
             reconfig_latency: self.device.nominal_reconfig_latency(),
             interconnect: self.interconnect,
         };
@@ -864,12 +903,11 @@ impl<S: Scheduler> Hypervisor<S> {
             || (self.device.cap().is_idle()
                 && self.next_decision_change(now).is_some_and(|due| due <= now));
         while consult && self.device.cap().is_idle() {
-            self.refresh_snapshot();
             let directive = {
                 let view = SchedView {
                     now,
                     apps: &self.apps,
-                    slots: &self.snapshot_buf,
+                    slots: &self.slots,
                     reconfig_latency: self.device.nominal_reconfig_latency(),
                     interconnect: self.interconnect,
                 };
@@ -900,6 +938,73 @@ impl<S: Scheduler> Hypervisor<S> {
         self.launch_items(now, queue);
     }
 
+    /// Checks, after every event of a debug build, what handling an event
+    /// in proportion to its change relies on:
+    ///
+    /// - (a) the slot table matches the device, and binds each slot to the
+    ///   task whose phase holds it;
+    /// - (b) a bound task idle on its slot whose dependencies allow its
+    ///   next item is in the launch set, and is there only because its
+    ///   buffer allocation failed in this pass; nothing else is in the set;
+    /// - (c) every buffer whose producer and consumers are all done has
+    ///   been freed.
+    #[cfg(debug_assertions)]
+    fn check_tables(&self) {
+        let pipelining = self.scheduler.pipelining();
+        assert_eq!(self.slots.len(), self.device.slot_count());
+        for (binding, slot) in self.slots.iter().zip(self.device.slots()) {
+            assert_eq!(
+                (binding.slot, binding.state, binding.resources),
+                (slot.id(), slot.state(), *slot.resources()),
+                "the slot table disagrees with the device on {}",
+                slot.id()
+            );
+            let Some((app, task)) = binding.bound else {
+                assert!(!self.launch_set.contains(binding.slot.index()));
+                continue;
+            };
+            let runtime = self.apps.get(app).expect("bound app is live");
+            assert_eq!(
+                runtime.phase(task).slot(),
+                Some(binding.slot),
+                "{} is bound to {task} of {app}, which does not hold it",
+                binding.slot
+            );
+            let ready = runtime.phase(task) == TaskPhase::Idle(binding.slot)
+                && runtime.deps_allow_next_item(task, pipelining);
+            let stalled = self.launch_stalled && runtime.buffers[task.index()].is_none();
+            assert_eq!(
+                ready,
+                self.launch_set.contains(binding.slot.index()),
+                "{task} of {app} on {}: a task whose next item can start must be \
+                 launched, or stay in the launch set while stalled on memory",
+                binding.slot
+            );
+            assert!(!ready || stalled, "{task} of {app} was left idle though ready");
+        }
+        for (id, runtime) in self.apps.iter() {
+            let graph = runtime.spec().graph();
+            for task in graph.task_ids() {
+                if let Some(slot) = runtime.phase(task).slot() {
+                    assert_eq!(
+                        self.slots[slot.index()].bound,
+                        Some((id, task)),
+                        "{task} of {id} holds {slot}, which the slot table binds elsewhere"
+                    );
+                }
+                let consumed = runtime.phase(task) == TaskPhase::Done
+                    && graph
+                        .successors(task)
+                        .iter()
+                        .all(|&s| runtime.phase(s) == TaskPhase::Done);
+                assert!(
+                    !consumed || runtime.buffers[task.index()].is_none(),
+                    "the buffer of {task} of {id} outlived its producer and consumers"
+                );
+            }
+        }
+    }
+
     /// Queues the next tick that can act (see [`HvEvent::Tick`]), once no
     /// event can still be pushed ahead of it.
     fn arm_tick(&mut self, now: SimTime, queue: &mut EventQueue<HvEvent>) {
@@ -918,6 +1023,53 @@ impl<S: Scheduler> Hypervisor<S> {
         if let Some(due) = due {
             self.ticks.arm(queue, due);
         }
+    }
+}
+
+/// Slot indices `0..n` as a bitmap of 64-bit words.
+///
+/// The hypervisor's launch set: its launch pass takes members out in
+/// ascending order for any slot count, so launches, buffer allocations and
+/// queue pushes keep the order of a scan over every slot.
+#[derive(Debug, PartialEq, Eq)]
+struct SlotSet {
+    words: Vec<u64>,
+}
+
+impl SlotSet {
+    /// An empty set over slots `0..slots`.
+    fn new(slots: usize) -> Self {
+        SlotSet {
+            words: vec![0; slots.div_ceil(64)],
+        }
+    }
+
+    /// Adds slot `index`.
+    fn insert(&mut self, index: usize) {
+        self.words[index / 64] |= 1 << (index % 64);
+    }
+
+    /// Whether slot `index` is a member.
+    #[cfg(any(test, debug_assertions))]
+    fn contains(&self, index: usize) -> bool {
+        self.words[index / 64] >> (index % 64) & 1 == 1
+    }
+
+    /// Removes and returns the smallest member at or above `from`.
+    fn pop_from(&mut self, from: usize) -> Option<usize> {
+        let mut word = from / 64;
+        let mut mask = u64::MAX << (from % 64);
+        while let Some(bits) = self.words.get_mut(word) {
+            let hit = *bits & mask;
+            if hit != 0 {
+                let bit = hit.trailing_zeros() as usize;
+                *bits &= !(1 << bit);
+                return Some(word * 64 + bit);
+            }
+            word += 1;
+            mask = u64::MAX;
+        }
+        None
     }
 }
 
@@ -954,9 +1106,9 @@ impl<S: Scheduler> Handler<HvEvent> for Hypervisor<S> {
                 self.on_reconfig_done(slot, now);
                 false
             }
-            HvEvent::ItemDone { app, task, slot, gen } => {
+            HvEvent::ItemDone { slot, gen } => {
                 self.monitor_dirty = true;
-                self.on_item_done(app, task, slot, now, gen)
+                self.on_item_done(slot, gen, now)
             }
         };
         self.drive(now, boundary, queue);
@@ -995,6 +1147,8 @@ impl<S: Scheduler> Handler<HvEvent> for Hypervisor<S> {
             self.ticks.handled(now, self.finished());
         }
         self.arm_tick(now, queue);
+        #[cfg(debug_assertions)]
+        self.check_tables();
     }
 }
 
@@ -1197,9 +1351,11 @@ mod tests {
                 HvEvent::Arrival(_) => (Point::Arrival, None),
                 HvEvent::Tick => (Point::Tick, None),
                 HvEvent::ReconfigDone { .. } => (Point::Reconfigured, None),
-                HvEvent::ItemDone {
-                    app, task, slot, ..
-                } => {
+                HvEvent::ItemDone { slot, gen } => {
+                    let (app, task) = self
+                        .hv
+                        .item_owner(slot, gen)
+                        .expect("a scripted run aborts no item");
                     let runtime = &self.hv.apps()[app];
                     let point = if runtime.items_done(task) + 1 < runtime.batch_size() {
                         Point::Boundary
@@ -1329,5 +1485,34 @@ mod tests {
             pipe_end < bulk_end,
             "pipelined ({pipe_end}) must finish before bulk ({bulk_end})"
         );
+    }
+
+    #[test]
+    fn slot_set_members_come_out_in_ascending_order_across_words() {
+        let mut set = SlotSet::new(130);
+        for index in [129, 3, 64, 0, 63, 70] {
+            set.insert(index);
+        }
+        set.insert(3);
+        assert!(set.contains(70) && !set.contains(71));
+        let mut order = Vec::new();
+        let mut next = 0;
+        while let Some(index) = set.pop_from(next) {
+            order.push(index);
+            next = index + 1;
+        }
+        assert_eq!(order, [0, 3, 63, 64, 70, 129]);
+        assert_eq!(set, SlotSet::new(130));
+    }
+
+    #[test]
+    fn slot_set_pop_from_skips_members_below_its_start() {
+        let mut set = SlotSet::new(70);
+        set.insert(2);
+        set.insert(69);
+        assert_eq!(set.pop_from(3), Some(69));
+        assert_eq!(set.pop_from(3), None);
+        assert_eq!(set.pop_from(0), Some(2));
+        assert_eq!(SlotSet::new(0).pop_from(0), None);
     }
 }

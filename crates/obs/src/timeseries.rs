@@ -637,6 +637,7 @@ impl FlightRecorder {
     /// only if the ring retains entries at all — a sink-less
     /// (zero-capacity) recorder costs one counter bump per event, no
     /// allocation.
+    #[inline]
     pub fn push_with(
         &mut self,
         at_us: u64,
@@ -744,6 +745,10 @@ pub struct MonitorState {
     dropped: u64,
     /// Number of leading windows already fed to the SLO engine.
     evaluated: u64,
+    /// The first instant past the last window the capacity can hold;
+    /// busy intervals are clipped here so a long run does not walk
+    /// window-by-window through time the series cannot record anyway.
+    horizon_us: u64,
     /// Per-slot planned end of the in-flight item (µs; 0 = none), so a
     /// fine-grained abort can subtract the un-executed remainder.
     open_until: Vec<u64>,
@@ -762,6 +767,8 @@ impl MonitorState {
     pub fn new(config: MonitorConfig, slots: usize) -> Self {
         let engine = SloEngine::new(config.rules.clone());
         let recorder = FlightRecorder::with_capacity(config.ring_capacity);
+        let horizon_us =
+            (config.window_capacity as u64).saturating_mul(config.window_micros.max(1));
         MonitorState {
             config,
             slots: slots as u64,
@@ -769,6 +776,7 @@ impl MonitorState {
             windows: Vec::new(),
             dropped: 0,
             evaluated: 0,
+            horizon_us,
             open_until: vec![0; slots],
             last_sample: (0, 0, 0),
             last_sample_window: 0,
@@ -839,22 +847,20 @@ impl MonitorState {
         at_us / self.config.window_micros.max(1)
     }
 
-    /// The first instant past the last window the capacity can hold;
-    /// busy intervals are clipped here so a long run does not walk
-    /// window-by-window through time the series cannot record anyway.
-    #[inline]
-    fn horizon_us(&self) -> u64 {
-        (self.config.window_capacity as u64).saturating_mul(self.config.window_micros.max(1))
-    }
-
     /// Distributes busy microseconds over `[start, until)`, clipped at
     /// window boundaries. The portion past the capacity horizon is one
-    /// dropped observation, not one per spanned window.
+    /// dropped observation, not one per spanned window. A span that
+    /// starts at or past the horizon adds nothing more, so it returns
+    /// there: every span of a sink-less monitor, and every span of a run
+    /// that outlives its window capacity.
     #[inline]
     fn add_busy(&mut self, start: u64, until: u64) {
-        let horizon = self.horizon_us();
+        let horizon = self.horizon_us;
         if until > horizon {
             self.dropped += 1;
+            if start >= horizon {
+                return;
+            }
         }
         let until = until.min(horizon);
         let w = self.config.window_micros.max(1);
@@ -876,8 +882,7 @@ impl MonitorState {
     /// precisely what the launch recorded (without a second drop: the
     /// clipped launch already counted).
     fn sub_busy(&mut self, start: u64, until: u64) {
-        let horizon = self.horizon_us();
-        let until = until.min(horizon);
+        let until = until.min(self.horizon_us);
         let w = self.config.window_micros.max(1);
         let mut t = start;
         while t < until {
@@ -1013,6 +1018,7 @@ impl MonitorState {
     }
 
     /// Records one flight-recorder entry (the board tag is stamped here).
+    #[inline]
     pub fn record(&mut self, at_us: u64, kind: &str, detail: impl FnOnce() -> String) {
         let board = self.board;
         self.recorder.push_with(at_us, board, kind, detail);

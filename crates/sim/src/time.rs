@@ -168,6 +168,11 @@ impl SimDuration {
         SimDuration(self.0.saturating_mul(factor))
     }
 
+    /// Adds two spans, saturating at the maximum.
+    pub const fn saturating_add(self, other: SimDuration) -> SimDuration {
+        SimDuration(self.0.saturating_add(other.0))
+    }
+
     /// Returns the ratio of `self` to `other` as a float.
     ///
     /// Returns `0.0` when `other` is zero; callers comparing shares of a

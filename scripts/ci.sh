@@ -48,9 +48,12 @@
 #                   the fixed policy panel, whose two committed fixtures
 #                   (tests/fixtures/tick_elision/same_instant_tick.json
 #                   and boundary_preempt.json) must each still hit the
-#                   case its probe names, and the indexed
+#                   case its probe names, the indexed
 #                   invariant verifier and attribution must match their
-#                   reference on the fixed trace panel
+#                   reference on the fixed trace panel, and the debug
+#                   build's per-event check of the hypervisor's slot
+#                   table and launch set must hold on a 70-slot device
+#                   with stalled launches and under fine preemption
 #   bench-gate      the repository benchmark (.perfbench, BENCHMARK.json):
 #                   its package tests must pass, so the benchmark still
 #                   builds against the program and repeats exactly; then
@@ -345,6 +348,15 @@ stage_engine_diff() {
         the_fixed_panel_matches_the_reference_check_path \
         an_unknown_task_is_reported_where_the_reference_panics
     echo "ok: the indexed check path matches its reference on the fixed panel"
+    # This stage builds in debug, so the hypervisor checks its slot table,
+    # launch set and buffers after every event of these runs: 70 slots
+    # with launches stalled on memory, and stale completions of items a
+    # fine-grained preemption aborted.
+    cargo test -q --offline \
+        --test failure_injection -- seventy_slots_with_stalled_launches
+    cargo test -q --offline \
+        --test fine_preemption -- stale_completions_of_aborted_items_are_discarded
+    echo "ok: the slot table and launch set hold on 70 slots and under fine preemption"
 }
 
 # The bench gate's fixed run: seed and seconds of every perfbench run, three

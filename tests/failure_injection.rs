@@ -1,8 +1,15 @@
 //! Failure injection: exhausted buffer memory, degraded configuration
-//! ports, tiny devices, and livelock detection.
+//! ports, tiny and wide devices, and livelock detection.
+//!
+//! In a debug build `Hypervisor::handle` checks its tables after every
+//! event (DESIGN.md §14.6), so the wide-device runs here also check the
+//! launch set past one 64-bit word, with launches stalled on memory.
 
 use nimblock::app::{benchmarks, Priority};
-use nimblock::core::{Hypervisor, HvEvent, NimblockScheduler, NoSharingScheduler, Testbed};
+use nimblock::core::{
+    verify_trace, FcfsScheduler, Hypervisor, HvEvent, InvariantConfig, NimblockScheduler,
+    NoSharingScheduler, Scheduler, Testbed, TraceEvent,
+};
 use nimblock::fpga::{Device, DeviceConfig};
 use nimblock::sim::{SimDuration, SimTime, Simulation};
 use nimblock::workload::{generate, ArrivalEvent, EventSequence, Scenario};
@@ -41,6 +48,62 @@ fn tight_memory_stalls_launches_but_completes() {
         "a 2 MiB pool must cause allocation stalls"
     );
     assert_eq!(sim.handler().device().memory().in_use(), 0);
+}
+
+/// Forty long pipelines arriving 50 ms apart: enough concurrent tasks to
+/// bind slots past index 63 of a 70-slot device.
+fn crowd() -> EventSequence {
+    let apps = [
+        benchmarks::optical_flow,
+        benchmarks::alexnet,
+        benchmarks::rendering_3d,
+        benchmarks::image_compression,
+    ];
+    EventSequence::new(
+        (0..40u64)
+            .map(|i| {
+                ArrivalEvent::new(
+                    apps[i as usize % apps.len()](),
+                    20,
+                    Priority::Medium,
+                    SimTime::from_millis(i * 50),
+                )
+            })
+            .collect(),
+    )
+}
+
+/// Runs [`crowd`] on 70 slots (two words of launch set) with room for 96
+/// task buffers of 1 MiB, fewer than the run keeps live when unbounded.
+fn wide_tight_run(scheduler: impl Scheduler) {
+    let name = scheduler.name();
+    let mut config = DeviceConfig::zcu106().with_slot_count(70);
+    config.memory_bytes = 96 << 20;
+    let events = crowd();
+    let (report, trace) = Testbed::new(scheduler)
+        .with_device_config(config)
+        .run_traced(&events);
+    assert_eq!(report.records().len(), events.len(), "{name}: every app retires");
+    assert!(
+        report.counters().alloc_stalls > 0,
+        "{name}: the small pool must stall launches"
+    );
+    let second_word = trace.events().iter().any(|event| {
+        matches!(event, TraceEvent::Item { slot, .. } if slot.index() >= 64)
+    });
+    assert!(second_word, "{name}: no item ran past the first 64 slots");
+    let verdict = verify_trace(&trace, &InvariantConfig::default());
+    assert!(verdict.is_clean(), "{name}:\n{verdict}");
+}
+
+#[test]
+fn seventy_slots_with_stalled_launches_run_clean_under_fcfs() {
+    wide_tight_run(FcfsScheduler::new());
+}
+
+#[test]
+fn seventy_slots_with_stalled_launches_run_clean_under_nimblock() {
+    wide_tight_run(NimblockScheduler::default());
 }
 
 #[test]

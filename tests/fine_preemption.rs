@@ -2,8 +2,9 @@
 //! future-work overlay capability.
 
 use nimblock::app::{benchmarks, Priority};
-use nimblock::core::{NimblockConfig, NimblockScheduler, Testbed};
-use nimblock::sim::{SimDuration, SimTime};
+use nimblock::core::{HvEvent, Hypervisor, NimblockConfig, NimblockScheduler, Testbed};
+use nimblock::fpga::{zcu106, Device, DeviceConfig};
+use nimblock::sim::{SimDuration, SimTime, Simulation};
 use nimblock::workload::{ArrivalEvent, EventSequence};
 
 /// A long, low-priority digit recognition (65 s items!) holds slots while
@@ -136,5 +137,44 @@ fn traces_remain_hardware_legal_under_fine_preemption() {
     cap.sort();
     for pair in cap.windows(2) {
         assert!(pair[1].0 >= pair[0].1, "CAP overlap under fine preemption");
+    }
+}
+
+#[test]
+fn stale_completions_of_aborted_items_are_discarded() {
+    // An aborted item's completion stays queued as an `ItemDone` naming
+    // only its slot and launch generation; the abort moved the generation,
+    // so the hypervisor must drop it without reading the slot's new owner.
+    let events = monopolist_stimulus();
+    let hypervisor = Hypervisor::new(
+        Device::new(DeviceConfig::zcu106()),
+        NimblockScheduler::with_config(NimblockConfig::fine_preemption()),
+        events.events().to_vec(),
+    )
+    .with_fine_preemption(SimDuration::from_millis(10));
+    let mut sim = Simulation::new(hypervisor);
+    for (index, event) in events.iter().enumerate() {
+        sim.queue_mut().push(event.arrival(), HvEvent::Arrival(index));
+    }
+    let tick = SimDuration::from_millis(zcu106::SCHEDULING_INTERVAL_MILLIS);
+    sim.queue_mut().push(SimTime::ZERO + tick, HvEvent::Tick);
+    sim.run();
+    let hv = sim.handler();
+    assert!(hv.finished(), "every app retires");
+    assert!(
+        hv.metrics().stale_completions.get() > 0,
+        "no completion of an aborted item was seen"
+    );
+    // Counting an aborted item would add to its app's run time.
+    for record in hv.records() {
+        let app = benchmarks::by_name(&record.app_name).expect("a benchmark");
+        assert_eq!(
+            record.run_time,
+            app.graph()
+                .total_latency()
+                .saturating_mul(u64::from(record.batch_size)),
+            "{}",
+            record.app_name
+        );
     }
 }

@@ -4,7 +4,7 @@
 
 use nimblock_check::{check, prop_assert, prop_assert_eq, Gen};
 
-use nimblock::app::{AppSpec, Priority, TaskGraph, TaskGraphBuilder, TaskId, TaskSpec};
+use nimblock::app::{benchmarks, AppSpec, Priority, TaskGraph, TaskGraphBuilder, TaskId, TaskSpec};
 use nimblock::ilp::{EstimatorConfig, PipelineEstimator};
 use nimblock::sim::{EventQueue, SimDuration, SimTime};
 use nimblock::workload::{ArrivalEvent, EventSequence};
@@ -184,6 +184,40 @@ fn single_slot_latency_scales_linearly_in_batch() {
         let at_batch = app.single_slot_latency(batch, r);
         let per_item = app.graph().total_latency();
         prop_assert_eq!(at_batch - base, per_item.saturating_mul(u64::from(batch)));
+        Ok(())
+    });
+}
+
+/// Single-slot latency task by task: every task reconfigures once, then
+/// processes the whole batch.
+fn per_task_single_slot_latency(app: &AppSpec, batch: u32, reconfig: SimDuration) -> SimDuration {
+    app.graph()
+        .tasks()
+        .map(|(_, task)| reconfig + task.latency().saturating_mul(u64::from(batch)))
+        .sum()
+}
+
+#[test]
+fn single_slot_latency_matches_the_per_task_formula() {
+    let reconfig = SimDuration::from_millis(80);
+    for app in benchmarks::all() {
+        for batch in 0..=30 {
+            assert_eq!(
+                app.single_slot_latency(batch, reconfig),
+                per_task_single_slot_latency(&app, batch, reconfig),
+                "{} at batch {batch}",
+                app.name()
+            );
+        }
+    }
+    check("single_slot_latency_matches_the_per_task_formula", |g| {
+        let app = AppSpec::new("x", arb_dag(g));
+        let batch = g.u32(0..=30);
+        let reconfig = SimDuration::from_micros(g.u64(0..=200_000));
+        prop_assert_eq!(
+            app.single_slot_latency(batch, reconfig),
+            per_task_single_slot_latency(&app, batch, reconfig)
+        );
         Ok(())
     });
 }

@@ -570,12 +570,12 @@ struct Probe<S: Scheduler> {
 impl<S: Scheduler> Handler<HvEvent> for Probe<S> {
     fn handle(&mut self, now: SimTime, event: HvEvent, queue: &mut EventQueue<HvEvent>) {
         let finished = match event {
-            HvEvent::ItemDone { app, task, .. } => self
-                .hv
-                .apps()
-                .get(app)
-                .filter(|runtime| runtime.items_done(task) + 1 < runtime.batch_size())
-                .map(|_| (app, task)),
+            HvEvent::ItemDone { slot, gen } => {
+                self.hv.item_owner(slot, gen).filter(|&(app, task)| {
+                    let runtime = &self.hv.apps()[app];
+                    runtime.items_done(task) + 1 < runtime.batch_size()
+                })
+            }
             _ => None,
         };
         let before = self.hv.scheduler().directives;
