@@ -14,8 +14,8 @@
 //!   reachability passes proving the engine hot path alloc-free
 //!   (`hot-path-no-alloc`), the report/monitor merge and render paths
 //!   deterministic (`determinism-taint`), and the cluster worker pool
-//!   lock-clean (`lock-discipline`). `nimblock-analyze deep` runs them on
-//!   top of the lint and audits every suppression for staleness.
+//!   lock-clean (`lock-discipline`). `nimblock-cli analyze deep` runs them
+//!   on top of the lint and audits every suppression for staleness.
 //! * **Dynamic schedule-invariant verification** ([`invariants`], re-exported
 //!   from `nimblock-core`) — replays any recorded [`Trace`] against the
 //!   paper's hardware and policy invariants: configuration-port exclusivity
@@ -24,10 +24,11 @@
 //!   legality (§3.2, Algorithm 2), per-application work conservation, and
 //!   goal-number ceilings (§4.2).
 //!
-//! The `nimblock-analyze` binary exposes both: `nimblock-analyze lint` audits
-//! a source tree, `nimblock-analyze trace <file>` audits a serialized
-//! schedule trace. `nimblock-cli run --check-invariants` runs the dynamic
-//! pass inline after every simulation.
+//! This crate is a library; `nimblock-cli analyze` is its command-line front
+//! end: `analyze lint` and `analyze deep` audit a source tree,
+//! `analyze trace <file>` audits a serialized schedule trace, and
+//! `analyze rules` prints the catalogs. `nimblock-cli run --check-invariants`
+//! runs the dynamic pass inline after every simulation.
 //!
 //! # Example
 //!
@@ -55,7 +56,7 @@ pub mod rules;
 ///
 /// Re-exported from `nimblock-core` so trace producers and trace auditors
 /// share one implementation (the hypervisor's own `Trace::verify` calls the
-/// same engine this crate's CLI does).
+/// same engine `nimblock-cli analyze trace` does).
 pub use nimblock_core::invariants;
 
 pub use callgraph::Model;

@@ -1,6 +1,6 @@
 //! The deep-analysis pass framework: reachability-based dataflow checks
 //! over the whole-workspace call graph, a two-level suppression scheme,
-//! and the driver behind `nimblock-analyze deep`.
+//! and the driver behind `nimblock-cli analyze deep`.
 //!
 //! Three passes ship today (see `DESIGN.md` §16 for semantics and known
 //! boundaries):

@@ -382,7 +382,6 @@ impl Rule for NoPrintln {
             && rel_path.contains("/src/")
             && !rel_path.starts_with("crates/cli/")
             && !rel_path.starts_with("crates/bench/")
-            && rel_path != "crates/analyze/src/main.rs"
     }
     fn check(&self, ctx: &FileCtx<'_>) -> Vec<LintDiag> {
         let Some(lexed) = ctx.lexed else { return Vec::new() };

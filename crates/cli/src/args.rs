@@ -4,6 +4,7 @@
 use std::error::Error;
 use std::fmt;
 
+use nimblock_sim::SimDuration;
 use nimblock_workload::Scenario;
 
 /// An argument-parsing error; the message is user-facing.
@@ -168,8 +169,6 @@ pub struct RunArgs {
     /// Verify the recorded schedule against the paper's invariants after
     /// the run; a violation fails the command.
     pub check_invariants: bool,
-    /// Where to write the compact binary stimulus trace, if anywhere.
-    pub record_out: Option<String>,
     /// Continuous-monitoring options.
     pub monitor: MonitorArgs,
 }
@@ -340,8 +339,6 @@ pub struct ClusterArgs {
     pub dispatch: nimblock_cluster::DispatchPolicy,
     /// Board counts to sweep instead of a single run.
     pub sweep_boards: Option<Vec<usize>>,
-    /// Where to write the compact binary stimulus trace, if anywhere.
-    pub record_out: Option<String>,
     /// Continuous-monitoring options (series merged across boards).
     pub monitor: MonitorArgs,
 }
@@ -353,6 +350,8 @@ pub enum AnalyzeTarget {
     Lint {
         /// Workspace root to lint.
         root: String,
+        /// Report format: `text` (default) or `json`; `md` renders as text.
+        format: ExplainFormat,
     },
     /// Deep whole-workspace analysis: call-graph reachability passes on
     /// top of the full lint, plus a stale-suppression audit.
@@ -369,9 +368,14 @@ pub enum AnalyzeTarget {
     Trace {
         /// Path of the trace JSON.
         path: String,
+        /// Report format: `text` (default) or `json` (`--json`).
+        format: ExplainFormat,
         /// Skip Nimblock-policy invariants (goal ceilings, preemption
         /// priority order).
         mechanism_only: bool,
+        /// Expected reconfiguration latency (`--reconfig-latency-ms`);
+        /// enables the exact `cap-latency` check.
+        reconfig_latency: Option<SimDuration>,
     },
     /// Explain a serialized schedule trace: response-time attribution
     /// (six exactly-summing components) plus critical-path span trees.
@@ -410,9 +414,12 @@ pub enum AnalyzeTarget {
         /// Where the report goes ('-' = stdout; default stdout).
         out: Option<String>,
     },
+    /// Print the lint-rule, deep-pass, and trace-invariant catalogs.
+    Rules,
 }
 
-/// `analyze explain` report format (shared with `nimblock-analyze`).
+/// Report format of the `analyze` targets (`--format`, or `--json` for
+/// `--format json`).
 pub use nimblock_analyze::ExplainFormat;
 
 fn parse_explain_format(value: &str) -> Result<ExplainFormat, CliError> {
@@ -421,15 +428,6 @@ fn parse_explain_format(value: &str) -> Result<ExplainFormat, CliError> {
             "unknown explain format '{value}' (expected text, md, or json)"
         ))
     })
-}
-
-/// `analyze` command arguments.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AnalyzeArgs {
-    /// Lint a tree or verify a trace.
-    pub target: AnalyzeTarget,
-    /// Emit a machine-readable JSON report instead of diagnostics.
-    pub json: bool,
 }
 
 /// A parsed command line.
@@ -441,7 +439,7 @@ pub enum Command {
     Compare(CompareArgs),
     Faas(FaasArgs),
     Cluster(ClusterArgs),
-    Analyze(AnalyzeArgs),
+    Analyze(AnalyzeTarget),
     Help,
 }
 
@@ -509,7 +507,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             let mut trace_format = None;
             let mut trace_out = None;
             let mut check_invariants = false;
-            let mut record_out = None;
             let mut monitor = MonitorArgs::default();
             while let Some(flag) = stream.next() {
                 match flag {
@@ -523,7 +520,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                     }
                     "--trace-out" => trace_out = Some(stream.value_for(flag)?.to_owned()),
                     "--check-invariants" => check_invariants = true,
-                    "--record-out" => record_out = Some(stream.value_for(flag)?.to_owned()),
                     other if monitor.parse_flag(other, &mut stream)? => {}
                     other => parse_stimulus_flag(&mut stimulus, other, &mut stream)?,
                 }
@@ -533,9 +529,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             }
             if trace_out.is_some() && trace_format.is_none() {
                 return Err(err("--trace-out requires --trace-format"));
-            }
-            if record_out.as_deref() == Some("-") {
-                return Err(err("--record-out writes a binary trace; '-' is not supported"));
             }
             monitor.config()?; // validate rules and window at parse time
             Ok(Command::Run(RunArgs {
@@ -548,140 +541,10 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 trace_format,
                 trace_out,
                 check_invariants,
-                record_out,
                 monitor,
             }))
         }
-        "analyze" => {
-            match stream.next() {
-                Some("lint") => {
-                    let mut root = ".".to_owned();
-                    let mut json = false;
-                    while let Some(flag) = stream.next() {
-                        match flag {
-                            "--root" => root = stream.value_for(flag)?.to_owned(),
-                            "--json" => json = true,
-                            other => return Err(err(format!("unknown flag '{other}'"))),
-                        }
-                    }
-                    return Ok(Command::Analyze(AnalyzeArgs {
-                        target: AnalyzeTarget::Lint { root },
-                        json,
-                    }));
-                }
-                Some("deep") => {
-                    let mut root = ".".to_owned();
-                    let mut format = ExplainFormat::Text;
-                    let mut graph_out = None;
-                    while let Some(flag) = stream.next() {
-                        match flag {
-                            "--root" => root = stream.value_for(flag)?.to_owned(),
-                            "--format" => format = parse_explain_format(stream.value_for(flag)?)?,
-                            "--graph-out" => graph_out = Some(stream.value_for(flag)?.to_owned()),
-                            other => return Err(err(format!("unknown flag '{other}'"))),
-                        }
-                    }
-                    return Ok(Command::Analyze(AnalyzeArgs {
-                        target: AnalyzeTarget::Deep { root, format, graph_out },
-                        json: format == ExplainFormat::Json,
-                    }));
-                }
-                Some("trace") => {
-                    let mut path = None;
-                    let mut json = false;
-                    let mut mechanism_only = false;
-                    while let Some(flag) = stream.next() {
-                        match flag {
-                            "--json" => json = true,
-                            "--mechanism-only" => mechanism_only = true,
-                            other if !other.starts_with('-') && path.is_none() => {
-                                path = Some(other.to_owned())
-                            }
-                            other => return Err(err(format!("unknown flag '{other}'"))),
-                        }
-                    }
-                    let path = path.ok_or_else(|| err("analyze trace needs a FILE"))?;
-                    Ok(Command::Analyze(AnalyzeArgs {
-                        target: AnalyzeTarget::Trace { path, mechanism_only },
-                        json,
-                    }))
-                }
-                Some("explain") => {
-                    let mut path = None;
-                    let mut format = ExplainFormat::Text;
-                    let mut top = 5usize;
-                    while let Some(flag) = stream.next() {
-                        match flag {
-                            "--format" => format = parse_explain_format(stream.value_for(flag)?)?,
-                            "--top" => top = parse_number(flag, stream.value_for(flag)?)?,
-                            other if !other.starts_with('-') && path.is_none() => {
-                                path = Some(other.to_owned())
-                            }
-                            other => return Err(err(format!("unknown flag '{other}'"))),
-                        }
-                    }
-                    let path = path.ok_or_else(|| err("analyze explain needs a FILE"))?;
-                    Ok(Command::Analyze(AnalyzeArgs {
-                        target: AnalyzeTarget::Explain { path, format, top },
-                        json: format == ExplainFormat::Json,
-                    }))
-                }
-                Some("monitor") => {
-                    let mut path = None;
-                    let mut format = ExplainFormat::Text;
-                    while let Some(flag) = stream.next() {
-                        match flag {
-                            "--format" => format = parse_explain_format(stream.value_for(flag)?)?,
-                            other if !other.starts_with('-') && path.is_none() => {
-                                path = Some(other.to_owned())
-                            }
-                            other => return Err(err(format!("unknown flag '{other}'"))),
-                        }
-                    }
-                    let path = path.ok_or_else(|| err("analyze monitor needs a FILE"))?;
-                    Ok(Command::Analyze(AnalyzeArgs {
-                        target: AnalyzeTarget::Monitor { path, format },
-                        json: format == ExplainFormat::Json,
-                    }))
-                }
-                Some("plan") => {
-                    let mut path = None;
-                    let mut sweeps = Vec::new();
-                    let mut slo = 0.95f64;
-                    let mut replays = 5usize;
-                    let mut format = ExplainFormat::Text;
-                    let mut out = None;
-                    while let Some(flag) = stream.next() {
-                        match flag {
-                            "--sweep" => sweeps.push(stream.value_for(flag)?.to_owned()),
-                            "--slo" => slo = parse_number(flag, stream.value_for(flag)?)?,
-                            "--replays" => replays = parse_number(flag, stream.value_for(flag)?)?,
-                            "--format" => format = parse_explain_format(stream.value_for(flag)?)?,
-                            "--out" => out = Some(stream.value_for(flag)?.to_owned()),
-                            other if !other.starts_with('-') && path.is_none() => {
-                                path = Some(other.to_owned())
-                            }
-                            other => return Err(err(format!("unknown flag '{other}'"))),
-                        }
-                    }
-                    let path = path.ok_or_else(|| err("analyze plan needs a TRACE file"))?;
-                    if !(0.0..=1.0).contains(&slo) {
-                        return Err(err("--slo must be a fraction in 0..=1"));
-                    }
-                    Ok(Command::Analyze(AnalyzeArgs {
-                        target: AnalyzeTarget::Plan { path, sweeps, slo, replays, format, out },
-                        json: format == ExplainFormat::Json,
-                    }))
-                }
-                Some(other) => Err(err(format!(
-                    "unknown analyze target '{other}' \
-                     (expected lint, deep, trace, explain, monitor, or plan)"
-                ))),
-                None => {
-                    Err(err("analyze needs a target: lint, deep, trace, explain, monitor, or plan"))
-                }
-            }
-        }
+        "analyze" => parse_analyze(&mut stream).map(Command::Analyze),
         "faas" => {
             let mut args = FaasArgs {
                 seed: 2023,
@@ -756,11 +619,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                         let list = stream.value_for(flag)?;
                         let mut factors = Vec::new();
                         for part in list.split(',') {
-                            let factor: f64 = parse_number(flag, part)?;
-                            if !(factor > 0.0) {
-                                return Err(err("--curve factors must be positive"));
-                            }
-                            factors.push(factor);
+                            factors.push(parse_number(flag, part)?);
                         }
                         if factors.is_empty() {
                             return Err(err("--curve needs at least one load factor"));
@@ -791,7 +650,25 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                     other => return Err(err(format!("unknown flag '{other}'"))),
                 }
             }
+            if args.mean_gap_ms == 0 {
+                return Err(err("--mean-gap-ms must be at least 1"));
+            }
             if arrivals_given {
+                // Every load factor scales the arrival rate; the product,
+                // not the factor alone, must be a usable rate.
+                let rate = nimblock_workload::ArrivalProcess::parse(&door.arrivals)
+                    .map_err(|e| err(format!("--arrivals: {e}")))?
+                    .rate_per_sec();
+                let curve = door.curve.iter().flatten().map(|&factor| ("--curve", factor));
+                for (flag, factor) in std::iter::once(("--load", door.load)).chain(curve) {
+                    let scaled = rate * factor;
+                    if !(scaled.is_finite() && scaled > 0.0) {
+                        return Err(err(format!(
+                            "{flag} {factor:?} scales the arrival rate {rate:?}/s to {scaled:?}/s; \
+                             the scaled rate must be finite and positive"
+                        )));
+                    }
+                }
                 if door.tenants == 0 {
                     return Err(err("--tenants must be at least 1"));
                 }
@@ -827,7 +704,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             let mut threads = 1usize;
             let mut dispatch = nimblock_cluster::DispatchPolicy::FewestApps;
             let mut sweep_boards = None;
-            let mut record_out = None;
             let mut monitor = MonitorArgs::default();
             while let Some(flag) = stream.next() {
                 match flag {
@@ -861,16 +737,12 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                         }
                         sweep_boards = Some(counts);
                     }
-                    "--record-out" => record_out = Some(stream.value_for(flag)?.to_owned()),
                     other if monitor.parse_flag(other, &mut stream)? => {}
                     other => parse_stimulus_flag(&mut stimulus, other, &mut stream)?,
                 }
             }
             if boards == 0 {
                 return Err(err("--boards must be at least 1"));
-            }
-            if record_out.as_deref() == Some("-") {
-                return Err(err("--record-out writes a binary trace; '-' is not supported"));
             }
             monitor.config()?; // validate rules and window at parse time
             Ok(Command::Cluster(ClusterArgs {
@@ -880,7 +752,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 threads,
                 dispatch,
                 sweep_boards,
-                record_out,
                 monitor,
             }))
         }
@@ -900,6 +771,85 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
         }
         other => Err(err(format!("unknown command '{other}'"))),
     }
+}
+
+/// Parses `analyze TARGET [flags]`. Each target keeps the flags it has
+/// always had: `--format text|md|json` on every report but `trace`, and
+/// `--json`, short for `--format json`, on `lint`, `deep` and `trace`.
+fn parse_analyze(stream: &mut ArgStream<'_>) -> Result<AnalyzeTarget, CliError> {
+    const TARGETS: &str = "lint, deep, trace, explain, monitor, plan, or rules";
+    let target = match stream.next() {
+        Some(target @ ("lint" | "deep" | "trace" | "explain" | "monitor" | "plan" | "rules")) => {
+            target
+        }
+        Some(other) => {
+            return Err(err(format!("unknown analyze target '{other}' (expected {TARGETS})")))
+        }
+        None => return Err(err(format!("analyze needs a target: {TARGETS}"))),
+    };
+    let mut path = None;
+    let mut format = ExplainFormat::Text;
+    let mut root = ".".to_owned();
+    let mut graph_out = None;
+    let mut mechanism_only = false;
+    let mut reconfig_latency = None;
+    let mut top = 5usize;
+    let mut sweeps = Vec::new();
+    let mut slo = 0.95f64;
+    let mut replays = 5usize;
+    let mut out = None;
+    while let Some(flag) = stream.next() {
+        match (target, flag) {
+            ("lint" | "deep" | "explain" | "monitor" | "plan", "--format") => {
+                format = parse_explain_format(stream.value_for(flag)?)?
+            }
+            ("lint" | "deep" | "trace", "--json") => format = ExplainFormat::Json,
+            ("lint" | "deep", "--root") => root = stream.value_for(flag)?.to_owned(),
+            ("deep", "--graph-out") => graph_out = Some(stream.value_for(flag)?.to_owned()),
+            ("trace", "--mechanism-only") => mechanism_only = true,
+            ("trace", "--reconfig-latency-ms") => {
+                let ms: u64 = parse_number(flag, stream.value_for(flag)?)?;
+                let micros = ms
+                    .checked_mul(1_000)
+                    .ok_or_else(|| err("--reconfig-latency-ms is too large"))?;
+                reconfig_latency = Some(SimDuration::from_micros(micros));
+            }
+            ("explain", "--top") => top = parse_number(flag, stream.value_for(flag)?)?,
+            ("plan", "--sweep") => sweeps.push(stream.value_for(flag)?.to_owned()),
+            ("plan", "--slo") => slo = parse_number(flag, stream.value_for(flag)?)?,
+            ("plan", "--replays") => replays = parse_number(flag, stream.value_for(flag)?)?,
+            ("plan", "--out") => out = Some(stream.value_for(flag)?.to_owned()),
+            ("trace" | "explain" | "monitor" | "plan", file)
+                if !file.starts_with('-') && path.is_none() =>
+            {
+                path = Some(file.to_owned())
+            }
+            _ => return Err(err(format!("unknown flag '{flag}'"))),
+        }
+    }
+    let missing = |what: &str| err(format!("analyze {target} needs a {what}"));
+    Ok(match target {
+        "lint" => AnalyzeTarget::Lint { root, format },
+        "deep" => AnalyzeTarget::Deep { root, format, graph_out },
+        "trace" => AnalyzeTarget::Trace {
+            path: path.ok_or_else(|| missing("FILE"))?,
+            format,
+            mechanism_only,
+            reconfig_latency,
+        },
+        "explain" => {
+            AnalyzeTarget::Explain { path: path.ok_or_else(|| missing("FILE"))?, format, top }
+        }
+        "monitor" => AnalyzeTarget::Monitor { path: path.ok_or_else(|| missing("FILE"))?, format },
+        "plan" => {
+            let path = path.ok_or_else(|| missing("TRACE file"))?;
+            if !(0.0..=1.0).contains(&slo) {
+                return Err(err("--slo must be a fraction in 0..=1"));
+            }
+            AnalyzeTarget::Plan { path, sweeps, slo, replays, format, out }
+        }
+        _ => AnalyzeTarget::Rules,
+    })
 }
 
 fn parse_number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, CliError> {
@@ -1065,40 +1015,78 @@ mod tests {
 
     #[test]
     fn analyze_explain_parses() {
-        let Command::Analyze(a) =
-            parse(&argv("analyze explain t.json --format md --top 3")).unwrap()
-        else {
-            panic!("expected analyze");
-        };
         assert_eq!(
-            a.target,
-            AnalyzeTarget::Explain {
+            parse(&argv("analyze explain t.json --format md --top 3")).unwrap(),
+            Command::Analyze(AnalyzeTarget::Explain {
                 path: "t.json".into(),
                 format: ExplainFormat::Markdown,
                 top: 3,
-            }
+            })
         );
-        // Defaults: text format, top 5; JSON format sets the json flag.
-        let Command::Analyze(a) = parse(&argv("analyze explain t.json")).unwrap() else {
-            panic!("expected analyze");
-        };
+        // Defaults: text format, top 5.
         assert_eq!(
-            a.target,
-            AnalyzeTarget::Explain {
+            parse(&argv("analyze explain t.json")).unwrap(),
+            Command::Analyze(AnalyzeTarget::Explain {
                 path: "t.json".into(),
                 format: ExplainFormat::Text,
                 top: 5,
-            }
+            })
         );
-        assert!(!a.json);
-        let Command::Analyze(a) =
-            parse(&argv("analyze explain t.json --format json")).unwrap()
-        else {
-            panic!("expected analyze");
-        };
-        assert!(a.json);
         assert!(parse(&argv("analyze explain")).is_err());
         assert!(parse(&argv("analyze explain t.json --format svg")).is_err());
+    }
+
+    #[test]
+    fn analyze_json_is_an_alias_for_format_json() {
+        for target in ["lint", "deep"] {
+            assert_eq!(
+                parse(&argv(&format!("analyze {target} --json"))).unwrap(),
+                parse(&argv(&format!("analyze {target} --format json"))).unwrap(),
+                "{target}"
+            );
+        }
+        let Command::Analyze(AnalyzeTarget::Trace { format, .. }) =
+            parse(&argv("analyze trace t.json --json")).unwrap()
+        else {
+            panic!("expected analyze trace");
+        };
+        assert_eq!(format, ExplainFormat::Json);
+        // Each target keeps the flags it has always had.
+        assert!(parse(&argv("analyze trace t.json --format json")).is_err());
+        assert!(parse(&argv("analyze explain t.json --json")).is_err());
+        assert_eq!(
+            parse(&argv("analyze lint --root sub/dir --format md")).unwrap(),
+            Command::Analyze(AnalyzeTarget::Lint {
+                root: "sub/dir".into(),
+                format: ExplainFormat::Markdown,
+            })
+        );
+    }
+
+    #[test]
+    fn analyze_trace_and_rules_parse() {
+        assert_eq!(
+            parse(&argv("analyze trace t.json --mechanism-only --reconfig-latency-ms 80")).unwrap(),
+            Command::Analyze(AnalyzeTarget::Trace {
+                path: "t.json".into(),
+                format: ExplainFormat::Text,
+                mechanism_only: true,
+                reconfig_latency: Some(SimDuration::from_millis(80)),
+            })
+        );
+        assert!(parse(&argv("analyze trace")).is_err());
+        assert!(parse(&argv("analyze trace t.json --reconfig-latency-ms")).is_err());
+        assert!(parse(&argv("analyze trace t.json --reconfig-latency-ms -1")).is_err());
+        let err = parse(&argv("analyze trace t.json --reconfig-latency-ms 18446744073709551615"))
+            .unwrap_err();
+        assert!(err.to_string().contains("too large"), "{err}");
+        assert_eq!(parse(&argv("analyze rules")).unwrap(), Command::Analyze(AnalyzeTarget::Rules));
+        assert!(parse(&argv("analyze rules --json")).is_err());
+        assert!(parse(&argv("analyze")).is_err());
+        assert!(parse(&argv("analyze frobnicate")).is_err());
+        // Flags belong to their target.
+        assert!(parse(&argv("analyze lint --top 3")).is_err());
+        assert!(parse(&argv("analyze explain t.json --root .")).is_err());
     }
 
     #[test]
@@ -1138,20 +1126,13 @@ mod tests {
 
     #[test]
     fn analyze_monitor_parses() {
-        let Command::Analyze(a) = parse(&argv("analyze monitor ts.json --format md")).unwrap()
-        else {
-            panic!("expected analyze");
-        };
         assert_eq!(
-            a.target,
-            AnalyzeTarget::Monitor { path: "ts.json".into(), format: ExplainFormat::Markdown }
+            parse(&argv("analyze monitor ts.json --format md")).unwrap(),
+            Command::Analyze(AnalyzeTarget::Monitor {
+                path: "ts.json".into(),
+                format: ExplainFormat::Markdown,
+            })
         );
-        assert!(!a.json);
-        let Command::Analyze(a) = parse(&argv("analyze monitor ts.json --format json")).unwrap()
-        else {
-            panic!("expected analyze");
-        };
-        assert!(a.json);
         assert!(parse(&argv("analyze monitor")).is_err());
         assert!(parse(&argv("analyze monitor ts.json --format svg")).is_err());
     }
@@ -1221,38 +1202,29 @@ mod tests {
     fn analyze_plan_parses() {
         let line = "analyze plan t.nbt --sweep boards=1..8 --sweep slots=2,3 \
                     --slo 0.9 --replays 3 --format md --out plan.md";
-        let Command::Analyze(a) = parse(&argv(line)).unwrap() else {
-            panic!("expected analyze");
-        };
         assert_eq!(
-            a.target,
-            AnalyzeTarget::Plan {
+            parse(&argv(line)).unwrap(),
+            Command::Analyze(AnalyzeTarget::Plan {
                 path: "t.nbt".into(),
                 sweeps: vec!["boards=1..8".into(), "slots=2,3".into()],
                 slo: 0.9,
                 replays: 3,
                 format: ExplainFormat::Markdown,
                 out: Some("plan.md".into()),
-            }
+            })
         );
         // Defaults: boards sweep comes from the planner, 95% target,
         // five validation replays, text on stdout.
-        let Command::Analyze(a) = parse(&argv("analyze plan t.nbt")).unwrap() else {
-            panic!("expected analyze");
-        };
-        let AnalyzeTarget::Plan { sweeps, slo, replays, format, out, .. } = a.target else {
-            panic!("expected plan");
+        let Command::Analyze(AnalyzeTarget::Plan { sweeps, slo, replays, format, out, .. }) =
+            parse(&argv("analyze plan t.nbt")).unwrap()
+        else {
+            panic!("expected analyze plan");
         };
         assert!(sweeps.is_empty());
         assert_eq!(slo, 0.95);
         assert_eq!(replays, 5);
         assert_eq!(format, ExplainFormat::Text);
         assert_eq!(out, None);
-        let Command::Analyze(a) = parse(&argv("analyze plan t.nbt --format json")).unwrap()
-        else {
-            panic!("expected analyze");
-        };
-        assert!(a.json);
         assert!(parse(&argv("analyze plan")).is_err());
         assert!(parse(&argv("analyze plan t.nbt --slo 1.5")).is_err());
         assert!(parse(&argv("analyze plan t.nbt --format svg")).is_err());
@@ -1277,19 +1249,12 @@ mod tests {
         assert!(parse(&argv("faas --arrivals steady --record-out -")).is_err());
         assert!(parse(&argv("faas --arrivals steady --curve 1,2 --record-out d.nbt")).is_err());
 
-        let Command::Run(run) = parse(&argv("run --record-out stim.nbt")).unwrap() else {
-            panic!("expected run");
-        };
-        assert_eq!(run.record_out.as_deref(), Some("stim.nbt"));
-        assert!(parse(&argv("run --record-out -")).is_err());
-
-        let Command::Cluster(c) =
-            parse(&argv("cluster --boards 4 --record-out stim.nbt")).unwrap()
-        else {
-            panic!("expected cluster");
-        };
-        assert_eq!(c.record_out.as_deref(), Some("stim.nbt"));
-        assert!(parse(&argv("cluster --record-out -")).is_err());
+        // Only the serving front door records; the engine commands take a
+        // stimulus file through `generate --output` and `--input` instead.
+        for line in ["run --record-out stim.nbt", "cluster --boards 4 --record-out stim.nbt"] {
+            let err = parse(&argv(line)).unwrap_err();
+            assert!(err.to_string().contains("unknown flag '--record-out'"), "{line}: {err}");
+        }
     }
 
     #[test]

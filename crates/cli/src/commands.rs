@@ -3,6 +3,7 @@
 use std::fs;
 use std::io::Write;
 
+use nimblock_analyze::ExplainFormat;
 use nimblock_core::Testbed;
 use nimblock_fpga::DeviceConfig;
 use nimblock_metrics::{fmt3, harmonic_speedup, Summary, TextTable};
@@ -10,7 +11,7 @@ use nimblock_sim::SimDuration;
 use nimblock_workload::{fixed_batch_sequence, generate, EventSequence};
 
 use crate::args::{
-    AnalyzeArgs, AnalyzeTarget, ClusterArgs, Command, CompareArgs, FaasArgs, GenerateArgs,
+    AnalyzeTarget, ClusterArgs, Command, CompareArgs, FaasArgs, GenerateArgs,
     RunArgs, SchedulerKind, StimulusArgs, TraceFormat,
 };
 use crate::CliError;
@@ -94,89 +95,6 @@ fn write_output(path: &str, contents: &str, out: &mut dyn Write) -> Result<(), C
     }
 }
 
-/// Encodes a `run`/`cluster` stimulus as a compact engine-kind binary
-/// trace: every arrival with its board placement, no admission control.
-/// Serving-only header knobs stay zeroed; `analyze plan` needs a serving
-/// trace, but the seekable wire format and reader are shared.
-fn engine_stimulus_trace(
-    events: &EventSequence,
-    seed: u64,
-    boards: u64,
-    slots_per_board: u64,
-    threads: u64,
-    policy: &str,
-    reconfig: SimDuration,
-    assignments: Option<&[usize]>,
-) -> Vec<u8> {
-    use nimblock_app::Priority;
-    use nimblock_obs::record::{
-        TraceFunction, TraceHeader, TraceRecord, TraceVerdict, TraceWriter, KIND_ENGINE,
-    };
-    let mut header = TraceHeader::serving(seed);
-    header.kind = KIND_ENGINE;
-    header.process = "engine".to_owned();
-    header.invocations = events.len() as u64;
-    header.boards = boards;
-    header.slots_per_board = slots_per_board;
-    header.threads = threads;
-    header.policy = policy.to_owned();
-    header.reconfig_micros = reconfig.as_micros();
-    header.max_items = events
-        .events()
-        .iter()
-        .map(|e| u64::from(e.batch_size()))
-        .max()
-        .unwrap_or(1);
-    let mut indices = Vec::with_capacity(events.len());
-    for event in events.events() {
-        let name = event.app().name();
-        let index = match header.functions.iter().position(|f| f.name == name) {
-            Some(index) => index,
-            None => {
-                // Class code = index into `SloClass::ALL` (strictest
-                // first), recovered from the application's priority.
-                let class = match event.priority() {
-                    Priority::High => 0,
-                    Priority::Medium => 1,
-                    Priority::Low => 2,
-                };
-                header.functions.push(TraceFunction { name: name.to_owned(), class });
-                header.functions.len() - 1
-            }
-        };
-        indices.push(index as u32);
-    }
-    // The writer requires monotone arrivals; a loaded stimulus file may
-    // be unsorted, so records go out in arrival order (stable, so equal
-    // arrivals keep their stimulus order).
-    let mut order: Vec<usize> = (0..events.len()).collect();
-    order.sort_by_key(|&i| events.events()[i].arrival());
-    let mut writer = TraceWriter::new(&header);
-    for &i in &order {
-        let event = &events.events()[i];
-        writer.push(&TraceRecord {
-            arrival_micros: event.arrival().as_micros(),
-            function: indices[i],
-            items: event.batch_size(),
-            tenant: 0,
-            verdict: TraceVerdict::Admit,
-            warm: false,
-            board: assignments.map_or(0, |a| a[i] as u32),
-            queue_wait_micros: 0,
-            work_micros: 0,
-            reconfig_micros: 0,
-        });
-    }
-    writer.finish(None)
-}
-
-/// Writes an engine stimulus trace and prints the one-line receipt.
-fn write_engine_trace(path: &str, trace: &[u8], out: &mut dyn Write) -> Result<(), CliError> {
-    fs::write(path, trace).map_err(|e| CliError(format!("cannot write {path}: {e}")))?;
-    writeln!(out, "recorded stimulus trace written to {path} ({} bytes)", trace.len())
-        .map_err(|e| CliError(e.to_string()))
-}
-
 fn run_command(args: &RunArgs, out: &mut dyn Write) -> Result<(), CliError> {
     let events = make_sequence(&args.stimulus)?;
     let config = DeviceConfig::zcu106().with_slot_count(args.slots);
@@ -185,19 +103,6 @@ fn run_command(args: &RunArgs, out: &mut dyn Write) -> Result<(), CliError> {
     // exactly the nominal CAP latency, so the invariant check can be exact.
     let exact_reconfig_latency = (config.sd_bandwidth_bytes_per_sec == 0)
         .then(|| nimblock_fpga::Device::new(config.clone()).nominal_reconfig_latency());
-    if let Some(path) = &args.record_out {
-        let trace = engine_stimulus_trace(
-            &events,
-            args.stimulus.seed,
-            1,
-            args.slots as u64,
-            1,
-            "",
-            nimblock_fpga::Device::new(config.clone()).nominal_reconfig_latency(),
-            None,
-        );
-        write_engine_trace(path, &trace, out)?;
-    }
     let mut testbed = Testbed::new(args.scheduler.build()).with_device_config(config);
     let registry = args.metrics_out.as_ref().map(|_| nimblock_obs::Registry::new());
     if let Some(registry) = &registry {
@@ -455,11 +360,11 @@ fn front_door_command(
     if let Some(factors) = &door.curve {
         let curve = front.run_curve(factors);
         let rendered = match door.format {
-            nimblock_analyze::ExplainFormat::Json => nimblock_ser::to_string_pretty(&curve),
-            nimblock_analyze::ExplainFormat::Markdown => {
+            ExplainFormat::Json => nimblock_ser::to_string_pretty(&curve),
+            ExplainFormat::Markdown => {
                 format!("# SLO attainment curve\n\n{}", markdown_table(&curve.to_table()))
             }
-            nimblock_analyze::ExplainFormat::Text => curve.to_table().to_string(),
+            ExplainFormat::Text => curve.to_table().to_string(),
         };
         match door.curve_out.as_deref() {
             None | Some("-") => {
@@ -579,7 +484,7 @@ fn front_door_command(
         ]);
     }
     match door.format {
-        nimblock_analyze::ExplainFormat::Markdown => {
+        ExplainFormat::Markdown => {
             write!(
                 out,
                 "\n## Classes\n\n{}\n## Tenants\n\n{}",
@@ -672,13 +577,6 @@ fn cluster_command(args: &ClusterArgs, out: &mut dyn Write) -> Result<(), CliErr
                 .to_owned(),
         ));
     }
-    if args.sweep_boards.is_some() && args.record_out.is_some() {
-        return Err(CliError(
-            "--record-out is not supported with --sweep-boards \
-             (one trace per run; sweep runs many)"
-                .to_owned(),
-        ));
-    }
     if let Some(sweep) = &args.sweep_boards {
         let mut table = TextTable::new(vec![
             "boards", "mean resp (s)", "p95 (s)", "makespan", "loads",
@@ -719,21 +617,6 @@ fn cluster_command(args: &ClusterArgs, out: &mut dyn Write) -> Result<(), CliErr
         cluster = cluster.with_monitor(args.monitor.config()?);
     }
     let report = cluster.run(&events);
-    if let Some(path) = &args.record_out {
-        let config = DeviceConfig::zcu106();
-        let slots = config.slot_count as u64;
-        let trace = engine_stimulus_trace(
-            &events,
-            args.stimulus.seed,
-            args.boards as u64,
-            slots,
-            args.threads as u64,
-            args.dispatch.name(),
-            nimblock_fpga::Device::new(config).nominal_reconfig_latency(),
-            Some(report.assignments()),
-        );
-        write_engine_trace(path, &trace, out)?;
-    }
     writeln!(
         out,
         "{}: mean response {}s over {} events; per-board loads {:?}",
@@ -761,12 +644,12 @@ fn cluster_command(args: &ClusterArgs, out: &mut dyn Write) -> Result<(), CliErr
     Ok(())
 }
 
-fn analyze_command(args: &AnalyzeArgs, out: &mut dyn Write) -> Result<(), CliError> {
-    match &args.target {
-        AnalyzeTarget::Lint { root } => {
+fn analyze_command(target: &AnalyzeTarget, out: &mut dyn Write) -> Result<(), CliError> {
+    match target {
+        AnalyzeTarget::Lint { root, format } => {
             let report = nimblock_analyze::lint_tree(std::path::Path::new(root))
                 .map_err(|e| CliError(format!("cannot lint {root}: {e}")))?;
-            if args.json {
+            if *format == ExplainFormat::Json {
                 writeln!(out, "{}", nimblock_ser::to_string_pretty(&report))
                     .map_err(|e| CliError(e.to_string()))?;
             } else {
@@ -798,18 +681,18 @@ fn analyze_command(args: &AnalyzeArgs, out: &mut dyn Write) -> Result<(), CliErr
                 )))
             }
         }
-        AnalyzeTarget::Trace { path, mechanism_only } => {
+        AnalyzeTarget::Trace { path, format, mechanism_only, reconfig_latency } => {
             let text = fs::read_to_string(path)
                 .map_err(|e| CliError(format!("cannot read {path}: {e}")))?;
             let trace: nimblock_core::Trace = nimblock_ser::from_str(&text)
                 .map_err(|e| CliError(format!("{path} is not a serialized trace: {e}")))?;
-            let config = if *mechanism_only {
-                nimblock_analyze::InvariantConfig::mechanism_only()
-            } else {
-                nimblock_analyze::InvariantConfig::default()
+            let config = nimblock_analyze::InvariantConfig {
+                reconfig_latency: *reconfig_latency,
+                nimblock_policy: !mechanism_only,
+                ..nimblock_analyze::InvariantConfig::default()
             };
             let report = nimblock_analyze::verify_trace(&trace, &config);
-            if args.json {
+            if *format == ExplainFormat::Json {
                 writeln!(out, "{}", nimblock_ser::to_string_pretty(&report))
                     .map_err(|e| CliError(e.to_string()))?;
             } else if report.is_clean() {
@@ -851,9 +734,9 @@ fn analyze_command(args: &AnalyzeArgs, out: &mut dyn Write) -> Result<(), CliErr
             };
             let report = nimblock_plan::plan(&trace, &options).map_err(CliError)?;
             let plan_format = match format {
-                nimblock_analyze::ExplainFormat::Text => nimblock_plan::PlanFormat::Text,
-                nimblock_analyze::ExplainFormat::Markdown => nimblock_plan::PlanFormat::Markdown,
-                nimblock_analyze::ExplainFormat::Json => nimblock_plan::PlanFormat::Json,
+                ExplainFormat::Text => nimblock_plan::PlanFormat::Text,
+                ExplainFormat::Markdown => nimblock_plan::PlanFormat::Markdown,
+                ExplainFormat::Json => nimblock_plan::PlanFormat::Json,
             };
             let rendered = nimblock_plan::render_plan(&report, plan_format);
             match plan_out.as_deref() {
@@ -891,7 +774,27 @@ fn analyze_command(args: &AnalyzeArgs, out: &mut dyn Write) -> Result<(), CliErr
                 ))
             }
         }
+        AnalyzeTarget::Rules => {
+            write!(out, "{}", rule_catalog()).map_err(|e| CliError(e.to_string()))
+        }
     }
+}
+
+/// The lint rules, deep passes and trace invariants, one per line.
+fn rule_catalog() -> String {
+    let mut text = String::from("lint rules (suppress with `// nimblock: allow(<rule>)`):\n\n");
+    for rule in nimblock_analyze::all_rules() {
+        text += &format!("  {:<22} {}\n", rule.id(), rule.description());
+    }
+    text += "\ndeep passes (suppress per line or via analyze-suppressions.txt):\n\n";
+    for pass in nimblock_analyze::all_passes() {
+        text += &format!("  {:<22} {}\n", pass.id(), pass.description());
+    }
+    text += "\ntrace invariants (paper section in parentheses):\n\n";
+    for rule in nimblock_analyze::InvariantRule::ALL {
+        text += &format!("  {:<22} ({})\n", rule.id(), rule.paper_section());
+    }
+    text
 }
 
 /// Executes a parsed command, writing human-readable output to `out`.
@@ -909,7 +812,7 @@ pub fn execute(command: &Command, out: &mut dyn Write) -> Result<(), CliError> {
         Command::Compare(args) => compare_command(args, out),
         Command::Faas(args) => faas_command(args, out),
         Command::Cluster(args) => cluster_command(args, out),
-        Command::Analyze(args) => analyze_command(args, out),
+        Command::Analyze(target) => analyze_command(target, out),
     }
 }
 
@@ -1208,28 +1111,31 @@ mod tests {
     }
 
     #[test]
-    fn analyze_command_lines_parse() {
-        use crate::args::{AnalyzeArgs, AnalyzeTarget};
-        assert_eq!(
-            parse(&argv("analyze lint --root sub/dir --json")).unwrap(),
-            Command::Analyze(AnalyzeArgs {
-                target: AnalyzeTarget::Lint { root: "sub/dir".into() },
-                json: true,
-            })
-        );
-        assert_eq!(
-            parse(&argv("analyze trace t.json --mechanism-only")).unwrap(),
-            Command::Analyze(AnalyzeArgs {
-                target: AnalyzeTarget::Trace {
-                    path: "t.json".into(),
-                    mechanism_only: true,
-                },
-                json: false,
-            })
-        );
-        assert!(parse(&argv("analyze")).is_err());
-        assert!(parse(&argv("analyze frobnicate")).is_err());
-        assert!(parse(&argv("analyze trace")).is_err());
+    fn analyze_rules_lists_every_catalog() {
+        let output = run_line("analyze rules");
+        for rule in nimblock_analyze::all_rules() {
+            assert!(output.contains(rule.id()), "lint rule {} missing", rule.id());
+        }
+        for pass in nimblock_analyze::all_passes() {
+            assert!(output.contains(pass.id()), "deep pass {} missing", pass.id());
+        }
+        assert_eq!(nimblock_analyze::InvariantRule::ALL.len(), 11);
+        for rule in nimblock_analyze::InvariantRule::ALL {
+            let line = format!("  {:<22} ({})", rule.id(), rule.paper_section());
+            assert!(output.contains(&line), "invariant line {line:?} missing");
+        }
+    }
+
+    #[test]
+    fn analyze_lint_json_flag_is_format_json() {
+        let root = env!("CARGO_MANIFEST_DIR");
+        let json = run_line(&format!("analyze lint --root {root} --json"));
+        assert_eq!(run_line(&format!("analyze lint --root {root} --format json")), json);
+        let report: nimblock_analyze::LintReport = nimblock_ser::from_str(json.trim()).unwrap();
+        assert!(report.is_clean());
+        // There is no markdown lint report; md renders as text.
+        let text = run_line(&format!("analyze lint --root {root}"));
+        assert_eq!(run_line(&format!("analyze lint --root {root} --format md")), text);
     }
 
     #[test]
@@ -1268,54 +1174,11 @@ mod tests {
             "analyze plan {trace} --sweep boards=4..5 --replays 1 --format md --out {out_path}"
         ));
         assert_eq!(fs::read_to_string(out_path).unwrap(), md);
-    }
-
-    #[test]
-    fn run_and_cluster_record_stimulus_traces() {
-        let dir = std::env::temp_dir().join("nimblock-cli-record-engine-test");
-        fs::create_dir_all(&dir).unwrap();
-        let run_trace = dir.join("run.nbt");
-        let run_trace = run_trace.to_str().unwrap();
-        let output = run_line(&format!(
-            "run --scheduler fcfs --events 4 --seed 9 --record-out {run_trace}"
+        // --out - is stdout.
+        let stdout = run_line(&format!(
+            "analyze plan {trace} --sweep boards=4..5 --replays 1 --format md --out -"
         ));
-        assert!(output.contains("recorded stimulus trace written"), "{output}");
-
-        // Engine traces carry placements, not admission decisions, so the
-        // capacity planner refuses them with a pointer at the right flag.
-        let command = parse(&argv(&format!("analyze plan {run_trace}"))).unwrap();
-        let mut sink = Vec::new();
-        let err = execute(&command, &mut sink).unwrap_err();
-        assert!(err.to_string().contains("engine stimulus trace"), "{err}");
-
-        let cluster_trace = dir.join("cluster.nbt");
-        let cluster_trace = cluster_trace.to_str().unwrap();
-        run_line(&format!(
-            "cluster --boards 3 --events 6 --seed 8 --batch 2 --delay-ms 100 \
-             --dispatch rr --record-out {cluster_trace}"
-        ));
-        let bytes = fs::read(cluster_trace).unwrap();
-        let reader = nimblock_obs::record::TraceReader::parse(&bytes).unwrap();
-        assert_eq!(reader.header().kind, nimblock_obs::record::KIND_ENGINE);
-        assert_eq!(reader.header().boards, 3);
-        assert_eq!(reader.header().policy, "round-robin");
-        assert_eq!(reader.summary().records, 6);
-        assert_eq!(reader.summary().admitted, 6, "engine arrivals are all admitted");
-        // Round-robin placements ride along with the stimulus.
-        let boards: Vec<u32> = reader.records().map(|r| r.unwrap().board).collect();
-        let mut seen = boards.clone();
-        seen.sort_unstable();
-        seen.dedup();
-        assert!(seen.len() > 1, "placements should spread: {boards:?}");
-
-        // Sweeps run many configurations; one trace cannot describe them.
-        let command = parse(&argv(&format!(
-            "cluster --sweep-boards 1,2 --events 4 --record-out {cluster_trace}"
-        )))
-        .unwrap();
-        let mut sink = Vec::new();
-        let err = execute(&command, &mut sink).unwrap_err();
-        assert!(err.to_string().contains("--sweep-boards"), "{err}");
+        assert_eq!(stdout, md);
     }
 
     #[test]

@@ -8,9 +8,11 @@
 //!   summary and optionally a JSON report or a Gantt chart,
 //! * `compare` — run several schedulers on the same stimulus and tabulate
 //!   the reductions versus the no-sharing baseline,
-//! * `analyze` — correctness and observability tooling: lint the source
-//!   tree, verify a recorded schedule trace against the paper's invariants
-//!   (the same engine `run --check-invariants` applies inline), or
+//! * `analyze` — correctness and observability tooling, and the only
+//!   front end of `nimblock-analyze`: lint the source tree (`lint`, and
+//!   `deep` for the call-graph passes), print the rule catalogs (`rules`),
+//!   verify a recorded schedule trace against the paper's invariants
+//!   (`trace`, the same engine `run --check-invariants` applies inline),
 //!   `explain` a trace — decompose every application's response time into
 //!   six exactly-summing attribution components with critical-path span
 //!   trees — render a continuous-monitoring document (`monitor`), or
@@ -29,7 +31,7 @@ mod args;
 mod commands;
 
 pub use args::{
-    parse, AnalyzeArgs, AnalyzeTarget, CliError, ClusterArgs, Command, CompareArgs,
+    parse, AnalyzeTarget, CliError, ClusterArgs, Command, CompareArgs,
     ExplainFormat, FaasArgs, FrontDoorArgs, GenerateArgs, MonitorArgs, RunArgs, SchedulerKind,
     TraceFormat,
 };
@@ -45,17 +47,18 @@ USAGE:
   nimblock-cli run      [--scheduler NAME] [stimulus options | --input FILE]
                         [--slots N] [--json FILE] [--gantt]
                         [--metrics-out FILE] [--trace-format FMT [--trace-out FILE]]
-                        [--check-invariants] [--record-out FILE]
-                        [monitor options]
+                        [--check-invariants] [monitor options]
   nimblock-cli compare  [stimulus options | --input FILE] [--slots N]
-  nimblock-cli analyze  lint [--root DIR] [--json]
-  nimblock-cli analyze  deep [--root DIR] [--format text|md|json]
+  nimblock-cli analyze  lint [--root DIR] [--format FMT | --json]
+  nimblock-cli analyze  deep [--root DIR] [--format FMT | --json]
                         [--graph-out FILE]
+  nimblock-cli analyze  rules
   nimblock-cli analyze  trace FILE [--json] [--mechanism-only]
-  nimblock-cli analyze  explain FILE [--format text|md|json] [--top N]
-  nimblock-cli analyze  monitor FILE [--format text|md|json]
+                        [--reconfig-latency-ms MS]
+  nimblock-cli analyze  explain FILE [--format FMT] [--top N]
+  nimblock-cli analyze  monitor FILE [--format FMT]
   nimblock-cli analyze  plan TRACE [--sweep NAME=SPEC]... [--slo F]
-                        [--replays N] [--format text|md|json] [--out FILE]
+                        [--replays N] [--format FMT] [--out FILE]
   nimblock-cli faas     [--seed N] [--invocations N] [--mean-gap-ms N]
                         [--scheduler NAME]
   nimblock-cli faas     --arrivals KIND[:RATE] [--seed N] [--invocations N]
@@ -67,8 +70,7 @@ USAGE:
                         [--metrics-out FILE] [--record-out FILE]
   nimblock-cli cluster  [--boards N | --sweep-boards N,N,...] [--scheduler NAME]
                         [--dispatch POLICY] [--cluster-threads N]
-                        [--record-out FILE] [stimulus options]
-                        [monitor options]
+                        [stimulus options] [monitor options]
 
 STIMULUS OPTIONS (used by run/compare when no --input is given):
   --scenario standard|stress|realtime   congestion condition [stress]
@@ -105,14 +107,16 @@ OTHER:
                        union pass walk as Graphviz DOT
   --mechanism-only     analyze trace: skip Nimblock-policy invariants
                        (use for traces from preempting non-Nimblock policies)
-  --format FMT         analyze deep/explain/monitor report format:
-                       text | md | json [text]
+  --reconfig-latency-ms MS
+                       analyze trace: check that every reconfiguration holds
+                       the port exactly MS ms (80 on the default board)
+  --format FMT         analyze report format: text | md | json [text]
+                       (lint renders md as text)
+  --json               analyze lint/deep/trace: same as --format json
   --top N              analyze explain: how many of the slowest applications
                        get their critical-path span trees printed [5]
-  --record-out FILE    write the offered traffic as a compact binary trace:
-                       `faas --arrivals` records the serving day (for
-                       `analyze plan`); run/cluster record the stimulus
-                       with board placements
+  --record-out FILE    faas --arrivals: record the serving day as a compact
+                       binary trace for `analyze plan`
 
 CAPACITY PLANNING (analyze plan; forecast what-if fleet shapes, §18):
   TRACE                a recorded serving trace (faas ... --record-out FILE)

@@ -154,3 +154,66 @@ fn analyze_trace_bounds_the_report_of_a_huge_declared_batch() {
     assert!(stdout.contains("and 999934 more items of task#0 of app#0"), "{stdout}");
     assert!(stdout.contains("and 999935 more items of task#2 of app#0"), "{stdout}");
 }
+
+/// A zero mean gap would make the legacy gateway's workload generator
+/// assert; the parser rejects it first.
+#[test]
+fn faas_rejects_a_zero_mean_gap() {
+    assert_clean_error(&["faas", "--mean-gap-ms", "0"], &["--mean-gap-ms must be at least 1"]);
+}
+
+/// Every load factor scales the arrival rate: `--load` and each `--curve`
+/// factor must leave RATE x factor finite and positive, in any flag order.
+#[test]
+fn faas_rejects_load_factors_that_break_the_arrival_rate() {
+    for (flag, value) in [
+        ("--load", "0"),
+        ("--load", "-1"),
+        ("--load", "nan"),
+        ("--load", "inf"),
+        ("--curve", "inf"),
+        ("--curve", "1,0"),
+    ] {
+        assert_clean_error(
+            &["faas", flag, value, "--arrivals", "steady:10"],
+            &[flag, "finite and positive"],
+        );
+    }
+    // 10/s x 1e308 overflows to infinity.
+    assert_clean_error(
+        &["faas", "--arrivals", "steady:10", "--load", "1e308"],
+        &["--load 1e308", "finite and positive"],
+    );
+}
+
+/// `--reconfig-latency-ms` turns on the exact CAP-latency check: a
+/// default-board trace holds it at the board's 80 ms and breaks it at 81.
+#[test]
+fn analyze_trace_checks_an_exact_reconfiguration_latency() {
+    let dir = std::env::temp_dir().join(format!("nimblock-cli-latency-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join("trace.json");
+    let trace = trace.to_str().unwrap();
+    let out = cli()
+        .args(["run", "--events", "4", "--seed", "11"])
+        .args(["--trace-format", "json", "--trace-out", trace])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let out = cli()
+        .args(["analyze", "trace", trace, "--reconfig-latency-ms", "80"])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stdout));
+    assert!(String::from_utf8(out.stdout).unwrap().contains("all invariants hold"));
+    let out = cli()
+        .args(["analyze", "trace", trace, "--reconfig-latency-ms", "81"])
+        .output()
+        .unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(out.status.code(), Some(1));
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(stdout.contains("[cap-latency]"), "{stdout}");
+    assert!(stdout.contains("expected 0.081000s"), "{stdout}");
+    assert!(String::from_utf8(out.stderr).unwrap().starts_with("error: trace violates"));
+}

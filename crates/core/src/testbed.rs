@@ -136,23 +136,7 @@ impl<S: Scheduler> Testbed<S> {
     ///
     /// Panics under the same conditions as [`Testbed::run`].
     pub fn run_traced(self, events: &EventSequence) -> (Report, crate::Trace) {
-        let horizon = self.horizon;
-        let registry = self.metrics.clone();
-        let monitor = self.monitor.clone();
-        let mut sim = self.into_simulation(events, true);
-        sim.run_until(horizon);
-        assert!(
-            sim.handler().finished(),
-            "testbed hit the livelock horizon with {} applications outstanding",
-            sim.handler().apps().len()
-        );
-        Self::export_sim_metrics(registry.as_ref(), &sim);
-        let finished_at = sim.now();
-        if let Some(monitor) = &monitor {
-            sim.handler_mut().release_monitor();
-            monitor.with(|m| m.finalize(finished_at.as_micros()));
-        }
-        let mut hypervisor = sim.into_handler();
+        let (mut hypervisor, finished_at) = self.drive(events, true);
         let trace = hypervisor.take_trace().expect("tracing was enabled");
         let report = hypervisor
             .into_report(finished_at)
@@ -160,22 +144,38 @@ impl<S: Scheduler> Testbed<S> {
         (report, trace)
     }
 
-    /// Publishes the engine-level series after a run: events processed and
-    /// the event-queue high-water mark.
-    fn export_sim_metrics(
-        registry: Option<&nimblock_obs::Registry>,
-        sim: &Simulation<HvEvent, Hypervisor<S>>,
-    ) {
-        let Some(registry) = registry else { return };
-        registry
-            .counter("sim_events_total", "Simulation events processed")
-            .add(sim.steps());
-        registry
-            .gauge(
-                "sim_event_queue_depth_max",
-                "High-water mark of the simulation event-queue depth",
-            )
-            .set(sim.max_queue_depth() as i64);
+    /// Runs the simulation to completion and returns the finished
+    /// hypervisor with its finish time, after publishing the engine-level
+    /// series (events processed, event-queue high-water mark) and
+    /// finalizing the monitor.
+    fn drive(self, events: &EventSequence, tracing: bool) -> (Hypervisor<S>, SimTime) {
+        let horizon = self.horizon;
+        let registry = self.metrics.clone();
+        let monitor = self.monitor.clone();
+        let mut sim = self.into_simulation(events, tracing);
+        sim.run_until(horizon);
+        assert!(
+            sim.handler().finished(),
+            "testbed hit the livelock horizon with {} applications outstanding",
+            sim.handler().apps().len()
+        );
+        if let Some(registry) = &registry {
+            registry
+                .counter("sim_events_total", "Simulation events processed")
+                .add(sim.steps());
+            registry
+                .gauge(
+                    "sim_event_queue_depth_max",
+                    "High-water mark of the simulation event-queue depth",
+                )
+                .set(sim.max_queue_depth() as i64);
+        }
+        let finished_at = sim.now();
+        if let Some(monitor) = &monitor {
+            sim.handler_mut().release_monitor();
+            monitor.with(|m| m.finalize(finished_at.as_micros()));
+        }
+        (sim.into_handler(), finished_at)
     }
 
     fn into_simulation(
@@ -225,23 +225,8 @@ impl<S: Scheduler> Testbed<S> {
     /// livelock horizon — a scheduler that stops making progress is a bug
     /// worth failing loudly on.
     pub fn run(self, events: &EventSequence) -> Report {
-        let horizon = self.horizon;
-        let registry = self.metrics.clone();
-        let monitor = self.monitor.clone();
-        let mut sim = self.into_simulation(events, false);
-        sim.run_until(horizon);
-        assert!(
-            sim.handler().finished(),
-            "testbed hit the livelock horizon with {} applications outstanding",
-            sim.handler().apps().len()
-        );
-        Self::export_sim_metrics(registry.as_ref(), &sim);
-        let finished_at = sim.now();
-        if let Some(monitor) = &monitor {
-            sim.handler_mut().release_monitor();
-            monitor.with(|m| m.finalize(finished_at.as_micros()));
-        }
-        sim.into_handler().into_report(finished_at)
+        let (hypervisor, finished_at) = self.drive(events, false);
+        hypervisor.into_report(finished_at)
     }
 }
 

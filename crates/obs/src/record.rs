@@ -57,10 +57,8 @@ pub const MAGIC: [u8; 8] = *b"NBTRACE1";
 /// Format version written by this crate.
 pub const VERSION: u64 = 1;
 /// A trace of the serving front door: offered invocations with verdicts.
+/// The only kind a reader accepts.
 pub const KIND_SERVING: u8 = 1;
-/// A trace of an engine (`run`/`cluster`) stimulus: arrivals with board
-/// placements, no admission control.
-pub const KIND_ENGINE: u8 = 2;
 /// One seek-index entry is emitted every this many records.
 pub const INDEX_STRIDE: u64 = 4096;
 
@@ -162,7 +160,7 @@ pub struct TraceFunction {
 /// the serving pipeline without the original generator.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceHeader {
-    /// [`KIND_SERVING`] or [`KIND_ENGINE`].
+    /// [`KIND_SERVING`]; a reader rejects any other kind.
     pub kind: u8,
     /// Seed the recorded run was driven by.
     pub seed: u64,
@@ -171,7 +169,7 @@ pub struct TraceHeader {
     /// Invocations the run offered.
     pub invocations: u64,
     /// Arrival-process spec (`kind:rate`), re-parseable by the workload
-    /// crate; `"engine"` for engine-kind traces.
+    /// crate.
     pub process: String,
     /// Number of tenants sharing the cluster.
     pub tenants: u64,
@@ -258,7 +256,7 @@ impl TraceHeader {
             .get(*pos)
             .ok_or_else(|| "trace truncated inside header".to_owned())?;
         *pos += 1;
-        if kind != KIND_SERVING && kind != KIND_ENGINE {
+        if kind != KIND_SERVING {
             return Err(format!("unknown trace kind {kind}"));
         }
         let seed = get_varint(data, pos)?;

@@ -58,7 +58,7 @@ pub mod report;
 pub mod sweep;
 
 use nimblock_faas::{verify_trace_functions, FrontDoor, FrontDoorConfig, FunctionRegistry};
-use nimblock_obs::record::{TraceReader, KIND_ENGINE, KIND_SERVING};
+use nimblock_obs::record::TraceReader;
 
 pub use estimator::{Calibration, Estimator};
 pub use report::{render_plan, Outcome, PlanFormat, PlanReport, ScenarioRow};
@@ -113,17 +113,6 @@ fn replay_indices(n: usize, count: usize) -> Vec<usize> {
 pub fn plan(trace: &[u8], options: &PlanOptions) -> Result<PlanReport, String> {
     let reader = TraceReader::parse(trace)?;
     let header = reader.header();
-    match header.kind {
-        KIND_SERVING => {}
-        KIND_ENGINE => {
-            return Err(
-                "this is an engine stimulus trace; capacity planning needs a serving trace \
-                 (record one with `faas --record-out`)"
-                    .to_owned(),
-            )
-        }
-        other => return Err(format!("unknown trace kind {other}")),
-    }
     if !(options.slo_target.is_finite() && (0.0..=1.0).contains(&options.slo_target)) {
         return Err(format!("--slo must be a fraction in 0..=1, got {}", options.slo_target));
     }
@@ -326,12 +315,12 @@ mod tests {
     }
 
     #[test]
-    fn engine_traces_are_rejected_with_guidance() {
+    fn traces_of_another_kind_are_rejected() {
         let mut header = nimblock_obs::record::TraceHeader::serving(1);
-        header.kind = nimblock_obs::record::KIND_ENGINE;
+        header.kind = 2;
         let bytes = nimblock_obs::TraceWriter::new(&header).finish(None);
-        let error = plan(&bytes, &PlanOptions::default()).expect_err("engine traces don't plan");
-        assert!(error.contains("serving trace"), "{error}");
+        let error = plan(&bytes, &PlanOptions::default()).expect_err("only serving traces plan");
+        assert_eq!(error, "unknown trace kind 2");
     }
 
     #[test]

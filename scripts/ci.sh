@@ -8,18 +8,20 @@
 #
 # Stages (in order):
 #
-#   lint            in-repo static analyzer: workspace-path-only deps,
-#                   source hygiene (DESIGN.md §11)
+#   lint            in-repo static analyzer (`nimblock-cli analyze lint`):
+#                   workspace-path-only deps, source hygiene (DESIGN.md §11)
 #   build           tier-1: cargo build --release --offline
 #   test            tier-1: cargo test -q --offline (root package)
 #   workspace-test  cargo test -q --offline --workspace
-#   deep            whole-workspace semantic analysis (DESIGN.md §16):
+#   deep            whole-workspace semantic analysis (`nimblock-cli analyze
+#                   deep`, DESIGN.md §16):
 #                   call-graph reachability passes (hot-path-no-alloc,
 #                   determinism-taint, lock-discipline) must be clean, the
 #                   suppression audit must find no stale allows, and every
 #                   adversarial fixture must trip exactly its named pass
 #   telemetry       CLI smoke: metrics text + chrome trace parse
-#   invariants      checked run + standalone trace re-verification
+#   invariants      checked run + `analyze trace` re-verification of the
+#                   exported trace, also with the exact 80 ms CAP latency
 #   explain         response-time attribution: `analyze explain` on a
 #                   congested trace must decompose exactly in every format
 #   monitor         continuous-monitoring smoke: a run with --timeseries-out
@@ -95,16 +97,16 @@ smoke_dir=$(mktemp -d)
 trap 'rm -rf "$smoke_dir"' EXIT
 
 stage_lint() {
-    cargo build --release --offline -q -p nimblock-analyze
-    ./target/release/nimblock-analyze lint
+    cargo build --release --offline -q -p nimblock-cli
+    ./target/release/nimblock-cli analyze lint
 }
 
 stage_deep() {
     # The deep analyzer must pass the workspace clean (zero unsuppressed
     # findings, zero stale suppressions — it exits nonzero otherwise) and
     # each adversarial fixture must trip exactly its named pass.
-    cargo build --release --offline -q -p nimblock-analyze
-    ./target/release/nimblock-analyze deep
+    cargo build --release --offline -q -p nimblock-cli
+    ./target/release/nimblock-cli analyze deep
     cargo test -q --offline --test analyze_deep
 }
 
@@ -154,7 +156,8 @@ PY
 stage_invariants() {
     # A congested stimulus under a preempting policy must uphold every
     # schedule invariant, both checked inline during the run and re-derived
-    # from the exported trace by the standalone verifier.
+    # from the exported trace by `analyze trace`, there with the default
+    # board's exact 80 ms reconfiguration latency as well.
     ensure_smoke_cli
     ./target/release/nimblock-cli run \
         --scheduler nimblock --scenario stress --events 6 --seed 23 \
@@ -164,6 +167,8 @@ stage_invariants() {
     grep -q "invariants: ok" "$smoke_dir/invariants.out" \
         || { echo "error: run --check-invariants did not report a clean schedule" >&2; return 1; }
     ./target/release/nimblock-cli analyze trace "$smoke_dir/trace.json"
+    ./target/release/nimblock-cli analyze trace "$smoke_dir/trace.json" \
+        --reconfig-latency-ms 80
 }
 
 stage_explain() {

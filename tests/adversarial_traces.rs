@@ -5,7 +5,7 @@
 //! the rule id the verifier must report. The traces are committed as JSON
 //! under `tests/fixtures/` and verified from their *parsed* form, so the
 //! suite also exercises the serde roundtrip an external trace would take
-//! through `nimblock-cli analyze trace` / `nimblock-analyze trace`.
+//! through `nimblock-cli analyze trace`.
 //!
 //! Regenerate the committed fixtures with
 //! `NIMBLOCK_REGEN_GOLDENS=1 cargo test --test adversarial_traces`.
