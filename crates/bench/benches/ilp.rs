@@ -1,40 +1,17 @@
-//! Micro-benchmarks of the ILP solver and the saturation analysis — the
-//! paper keeps this work off the scheduling critical path; these numbers
-//! show why that is the right call and how cheap the estimator is.
+//! Micro-benchmarks of the makespan estimator, the saturation analysis and
+//! the exact slot split — the paper keeps this work off the scheduling
+//! critical path; these numbers show why that is the right call and how
+//! cheap the estimator is.
 //!
 //! Run with `cargo bench --bench ilp` (add `--quick` for a smoke pass).
-//! Results land in `results/micro/ilp_solve.json`,
-//! `results/micro/estimator_makespan.json`,
+//! Results land in `results/micro/estimator_makespan.json`,
 //! `results/micro/saturation_analyze.json`, and
 //! `results/micro/ilp_slot_split.json`.
 
 use nimblock_app::benchmarks;
 use nimblock_bench::micro::Runner;
-use nimblock_ilp::{saturation, EstimatorConfig, PipelineEstimator, Problem, Relation, Sense};
+use nimblock_ilp::{saturation, EstimatorConfig, PipelineEstimator};
 use nimblock_sim::SimDuration;
-
-fn knapsack(n: usize) -> Problem {
-    let mut p = Problem::new(Sense::Maximize);
-    let vars: Vec<_> = (0..n)
-        .map(|i| p.add_integer_var(0.0, 1.0, ((i * 7) % 13 + 1) as f64))
-        .collect();
-    let weights: Vec<_> = vars
-        .iter()
-        .enumerate()
-        .map(|(i, &v)| (v, ((i * 5) % 11 + 1) as f64))
-        .collect();
-    p.add_constraint(&weights, Relation::LessEq, (3 * n) as f64 / 2.0);
-    p
-}
-
-fn ilp_solver() {
-    let mut runner = Runner::new("ilp_solve");
-    for n in [8usize, 16, 24] {
-        let problem = knapsack(n);
-        runner.bench(&format!("knapsack_{n}"), || problem.solve().unwrap());
-    }
-    runner.finish();
-}
 
 fn estimator_makespan() {
     let estimator = PipelineEstimator::new(EstimatorConfig {
@@ -59,7 +36,7 @@ fn saturation_sweep() {
 }
 
 fn optimal_split() {
-    // The exact ILP the rule-based allocator avoids at runtime.
+    // The exact split the rule-based allocator avoids at runtime.
     let curves: Vec<Vec<SimDuration>> = benchmarks::all()
         .iter()
         .map(|app| {
@@ -70,13 +47,12 @@ fn optimal_split() {
         .collect();
     let mut runner = Runner::new("ilp_slot_split");
     runner.bench("six_apps_ten_slots", || {
-        saturation::optimal_slot_split(&curves, 10).unwrap()
+        saturation::optimal_slot_split(&curves, 10)
     });
     runner.finish();
 }
 
 fn main() {
-    ilp_solver();
     estimator_makespan();
     saturation_sweep();
     optimal_split();

@@ -3,9 +3,11 @@
 //! DML solves slot allocation with an offline ILP but "relies on prior
 //! knowledge of applications and their arrival times, and it disregards
 //! application priority levels". The static planner here gets that prior
-//! knowledge (the full stimulus) and an exact ILP split; Nimblock gets
-//! neither. The paper's argument is that dynamic allocation competes
-//! without the oracle — this experiment measures by how much.
+//! knowledge (the full stimulus) and the exact optimum of that slot split,
+//! found by dynamic programming; a window with more co-resident
+//! applications than slots gives each one slot. Nimblock gets neither. The
+//! paper's argument is that dynamic allocation competes without the
+//! oracle — this experiment measures by how much.
 
 use nimblock_bench::{sequences_from_args, ResultWriter, BASE_SEED, EVENTS_PER_SEQUENCE};
 use nimblock_core::{DmlStaticScheduler, NimblockScheduler, Testbed};

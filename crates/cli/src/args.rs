@@ -96,8 +96,8 @@ pub struct StimulusArgs {
     pub events: usize,
     /// Fixed batch size (switches to the fixed-batch generator).
     pub batch: Option<u32>,
-    /// Fixed inter-arrival delay in ms (with `batch`).
-    pub delay_ms: u64,
+    /// Fixed inter-arrival delay (with `batch`; `--delay-ms`).
+    pub delay: SimDuration,
     /// Load the stimulus from this JSON file instead of generating.
     pub input: Option<String>,
 }
@@ -109,7 +109,7 @@ impl Default for StimulusArgs {
             seed: 2023,
             events: 20,
             batch: None,
-            delay_ms: 500,
+            delay: SimDuration::from_millis(500),
             input: None,
         }
     }
@@ -178,8 +178,8 @@ pub struct RunArgs {
 pub struct MonitorArgs {
     /// Where to write the windowed time-series document ('-' = stdout).
     pub timeseries_out: Option<String>,
-    /// Tumbling-window length in simulated milliseconds.
-    pub window_ms: u64,
+    /// Tumbling-window length in simulated time (`--window-ms`).
+    pub window: SimDuration,
     /// SLO rules to evaluate as windows close (repeatable `--slo`).
     pub slo: Vec<String>,
     /// Where a post-mortem bundle goes when the run fails ('-' = stdout).
@@ -190,7 +190,7 @@ impl Default for MonitorArgs {
     fn default() -> Self {
         MonitorArgs {
             timeseries_out: None,
-            window_ms: 10,
+            window: SimDuration::from_millis(10),
             slo: Vec::new(),
             postmortem_out: None,
         }
@@ -210,11 +210,11 @@ impl MonitorArgs {
     ///
     /// Returns a [`CliError`] for a zero window or a malformed SLO rule.
     pub fn config(&self) -> Result<nimblock_obs::MonitorConfig, CliError> {
-        if self.window_ms == 0 {
+        if self.window.is_zero() {
             return Err(err("--window-ms must be at least 1"));
         }
         let rules = nimblock_obs::parse_rules(&self.slo).map_err(err)?;
-        Ok(nimblock_obs::MonitorConfig::with_window_micros(self.window_ms * 1_000).rules(rules))
+        Ok(nimblock_obs::MonitorConfig::with_window_micros(self.window.as_micros()).rules(rules))
     }
 
     fn parse_flag(
@@ -224,7 +224,7 @@ impl MonitorArgs {
     ) -> Result<bool, CliError> {
         match flag {
             "--timeseries-out" => self.timeseries_out = Some(stream.value_for(flag)?.to_owned()),
-            "--window-ms" => self.window_ms = parse_number(flag, stream.value_for(flag)?)?,
+            "--window-ms" => self.window = parse_millis(flag, stream.value_for(flag)?)?,
             "--slo" => self.slo.push(stream.value_for(flag)?.to_owned()),
             "--postmortem-out" => self.postmortem_out = Some(stream.value_for(flag)?.to_owned()),
             _ => return Ok(false),
@@ -249,8 +249,8 @@ pub struct FaasArgs {
     pub seed: u64,
     /// Number of invocations.
     pub invocations: usize,
-    /// Mean inter-arrival gap in ms.
-    pub mean_gap_ms: u64,
+    /// Mean inter-arrival gap (`--mean-gap-ms`).
+    pub mean_gap: SimDuration,
     /// Policy serving the invocations.
     pub scheduler: SchedulerKind,
     /// Front-door serving mode (enabled by `--arrivals`); `None` keeps the
@@ -278,8 +278,9 @@ pub struct FrontDoorArgs {
     /// Worker threads for the serving stage (`1` = sequential oracle,
     /// `0` = auto). The report is byte-identical for every value.
     pub threads: usize,
-    /// Base shed horizon in ms (scaled by the class's 1/3/9 weight).
-    pub shed_horizon_ms: u64,
+    /// Base shed horizon (`--shed-horizon-ms`; scaled by the class's 1/3/9
+    /// weight).
+    pub shed_horizon: SimDuration,
     /// Maximum data items per invocation.
     pub max_items: u32,
     /// Arrival-rate multiplier for a single run.
@@ -310,7 +311,7 @@ impl Default for FrontDoorArgs {
             boards: 4,
             slots: 3,
             threads: 1,
-            shed_horizon_ms: 10_000,
+            shed_horizon: SimDuration::from_secs(10),
             max_items: 4,
             load: 1.0,
             curve: None,
@@ -549,7 +550,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             let mut args = FaasArgs {
                 seed: 2023,
                 invocations: 60,
-                mean_gap_ms: 150,
+                mean_gap: SimDuration::from_millis(150),
                 scheduler: SchedulerKind::Nimblock,
                 frontdoor: None,
             };
@@ -562,9 +563,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                     "--invocations" => {
                         args.invocations = parse_number(flag, stream.value_for(flag)?)?
                     }
-                    "--mean-gap-ms" => {
-                        args.mean_gap_ms = parse_number(flag, stream.value_for(flag)?)?
-                    }
+                    "--mean-gap-ms" => args.mean_gap = parse_millis(flag, stream.value_for(flag)?)?,
                     "--scheduler" => {
                         args.scheduler = SchedulerKind::parse(stream.value_for(flag)?)?
                     }
@@ -604,7 +603,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                         door_flag.get_or_insert_with(|| flag.to_owned());
                     }
                     "--shed-horizon-ms" => {
-                        door.shed_horizon_ms = parse_number(flag, stream.value_for(flag)?)?;
+                        door.shed_horizon = parse_millis(flag, stream.value_for(flag)?)?;
                         door_flag.get_or_insert_with(|| flag.to_owned());
                     }
                     "--max-items" => {
@@ -616,15 +615,8 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                         door_flag.get_or_insert_with(|| flag.to_owned());
                     }
                     "--curve" => {
-                        let list = stream.value_for(flag)?;
-                        let mut factors = Vec::new();
-                        for part in list.split(',') {
-                            factors.push(parse_number(flag, part)?);
-                        }
-                        if factors.is_empty() {
-                            return Err(err("--curve needs at least one load factor"));
-                        }
-                        door.curve = Some(factors);
+                        door.curve =
+                            Some(parse_list(flag, stream.value_for(flag)?, "load factor")?);
                         door_flag.get_or_insert_with(|| flag.to_owned());
                     }
                     "--slo-curve-out" => {
@@ -650,7 +642,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                     other => return Err(err(format!("unknown flag '{other}'"))),
                 }
             }
-            if args.mean_gap_ms == 0 {
+            if args.mean_gap.is_zero() {
                 return Err(err("--mean-gap-ms must be at least 1"));
             }
             if arrivals_given {
@@ -723,17 +715,10 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                             })?;
                     }
                     "--sweep-boards" => {
-                        let list = stream.value_for(flag)?;
-                        let mut counts = Vec::new();
-                        for part in list.split(',') {
-                            let count: usize = parse_number(flag, part)?;
-                            if count == 0 {
-                                return Err(err("--sweep-boards entries must be at least 1"));
-                            }
-                            counts.push(count);
-                        }
-                        if counts.is_empty() {
-                            return Err(err("--sweep-boards needs at least one count"));
+                        let counts: Vec<usize> =
+                            parse_list(flag, stream.value_for(flag)?, "board count")?;
+                        if counts.contains(&0) {
+                            return Err(err("--sweep-boards entries must be at least 1"));
                         }
                         sweep_boards = Some(counts);
                     }
@@ -808,11 +793,7 @@ fn parse_analyze(stream: &mut ArgStream<'_>) -> Result<AnalyzeTarget, CliError> 
             ("deep", "--graph-out") => graph_out = Some(stream.value_for(flag)?.to_owned()),
             ("trace", "--mechanism-only") => mechanism_only = true,
             ("trace", "--reconfig-latency-ms") => {
-                let ms: u64 = parse_number(flag, stream.value_for(flag)?)?;
-                let micros = ms
-                    .checked_mul(1_000)
-                    .ok_or_else(|| err("--reconfig-latency-ms is too large"))?;
-                reconfig_latency = Some(SimDuration::from_micros(micros));
+                reconfig_latency = Some(parse_millis(flag, stream.value_for(flag)?)?)
             }
             ("explain", "--top") => top = parse_number(flag, stream.value_for(flag)?)?,
             ("plan", "--sweep") => sweeps.push(stream.value_for(flag)?.to_owned()),
@@ -858,6 +839,37 @@ fn parse_number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, CliE
         .map_err(|_| err(format!("{flag}: cannot parse '{value}'")))
 }
 
+/// Parses a millisecond flag. Every millisecond flag converts here, so a
+/// value whose microseconds overflow `u64` is an error, never a wrapped
+/// span.
+fn parse_millis(flag: &str, value: &str) -> Result<SimDuration, CliError> {
+    let millis: u64 = parse_number(flag, value)?;
+    millis
+        .checked_mul(1_000)
+        .map(SimDuration::from_micros)
+        .ok_or_else(|| {
+            err(format!("{flag} {millis} is too large (at most {} ms)", u64::MAX / 1_000))
+        })
+}
+
+/// Parses a comma-separated list flag of `what`s; an empty list or an
+/// empty entry is an error that names the flag.
+fn parse_list<T: std::str::FromStr>(
+    flag: &str,
+    list: &str,
+    what: &str,
+) -> Result<Vec<T>, CliError> {
+    if list.is_empty() {
+        return Err(err(format!("{flag} needs at least one {what}")));
+    }
+    list.split(',')
+        .map(|part| match part {
+            "" => Err(err(format!("{flag} '{list}' has an empty {what}"))),
+            part => parse_number(flag, part),
+        })
+        .collect()
+}
+
 fn parse_stimulus_flag(
     stimulus: &mut StimulusArgs,
     flag: &str,
@@ -868,7 +880,7 @@ fn parse_stimulus_flag(
         "--seed" => stimulus.seed = parse_number(flag, stream.value_for(flag)?)?,
         "--events" => stimulus.events = parse_number(flag, stream.value_for(flag)?)?,
         "--batch" => stimulus.batch = Some(parse_number(flag, stream.value_for(flag)?)?),
-        "--delay-ms" => stimulus.delay_ms = parse_number(flag, stream.value_for(flag)?)?,
+        "--delay-ms" => stimulus.delay = parse_millis(flag, stream.value_for(flag)?)?,
         "--input" => stimulus.input = Some(stream.value_for(flag)?.to_owned()),
         other => return Err(err(format!("unknown flag '{other}'"))),
     }
@@ -993,6 +1005,52 @@ mod tests {
     }
 
     #[test]
+    fn empty_lists_and_empty_entries_are_named() {
+        // `argv` splits on whitespace, so these lines are built by hand.
+        let error = |line: &[&str]| {
+            let args: Vec<String> = line.iter().map(|&a| a.to_owned()).collect();
+            parse(&args).unwrap_err().to_string()
+        };
+        for (list, message) in [
+            ("", "--curve needs at least one load factor"),
+            (",", "--curve ',' has an empty load factor"),
+            ("1,,2", "--curve '1,,2' has an empty load factor"),
+        ] {
+            assert_eq!(error(&["faas", "--arrivals", "steady:1", "--curve", list]), message);
+        }
+        for (list, message) in [
+            ("", "--sweep-boards needs at least one board count"),
+            ("2,", "--sweep-boards '2,' has an empty board count"),
+        ] {
+            assert_eq!(error(&["cluster", "--sweep-boards", list]), message);
+        }
+    }
+
+    #[test]
+    fn millisecond_flags_reject_values_whose_microseconds_overflow() {
+        let largest = u64::MAX / 1_000;
+        for line in [
+            "run --delay-ms",
+            "generate --output - --delay-ms",
+            "cluster --delay-ms",
+            "compare --delay-ms",
+            "run --window-ms",
+            "cluster --window-ms",
+            "faas --mean-gap-ms",
+            "faas --arrivals steady:1 --shed-horizon-ms",
+            "analyze trace t.json --reconfig-latency-ms",
+        ] {
+            let err = parse(&argv(&format!("{line} {}", largest + 1))).unwrap_err();
+            assert!(err.to_string().contains("is too large"), "{line}: {err}");
+            assert!(parse(&argv(&format!("{line} {largest}"))).is_ok(), "{line}");
+        }
+        let Command::Run(run) = parse(&argv(&format!("run --delay-ms {largest}"))).unwrap() else {
+            panic!("expected run");
+        };
+        assert_eq!(run.stimulus.delay.as_micros(), largest * 1_000);
+    }
+
+    #[test]
     fn run_telemetry_flags_parse() {
         let line = "run --metrics-out - --trace-format chrome --trace-out t.json";
         let Command::Run(run) = parse(&argv(line)).unwrap() else {
@@ -1097,7 +1155,7 @@ mod tests {
             panic!("expected run");
         };
         assert_eq!(run.monitor.timeseries_out.as_deref(), Some("ts.json"));
-        assert_eq!(run.monitor.window_ms, 50);
+        assert_eq!(run.monitor.window, SimDuration::from_millis(50));
         assert_eq!(run.monitor.slo, vec!["resp:high:p95<=200ms", "util>=30%"]);
         assert_eq!(run.monitor.postmortem_out.as_deref(), Some("pm.json"));
         assert!(run.monitor.enabled());
@@ -1111,7 +1169,7 @@ mod tests {
             panic!("expected cluster");
         };
         assert_eq!(c.monitor.timeseries_out.as_deref(), Some("-"));
-        assert_eq!(c.monitor.window_ms, 10, "default window");
+        assert_eq!(c.monitor.window, SimDuration::from_millis(10), "default window");
         assert!(c.monitor.enabled());
 
         // Defaults: monitoring off, nothing attached.
@@ -1154,7 +1212,7 @@ mod tests {
         assert_eq!(door.boards, 6);
         assert_eq!(door.slots, 2);
         assert_eq!(door.threads, 4);
-        assert_eq!(door.shed_horizon_ms, 250);
+        assert_eq!(door.shed_horizon, SimDuration::from_millis(250));
         assert_eq!(door.max_items, 2);
         assert_eq!(door.load, 3.5);
         assert_eq!(door.curve, None);

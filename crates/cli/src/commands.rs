@@ -4,10 +4,9 @@ use std::fs;
 use std::io::Write;
 
 use nimblock_analyze::ExplainFormat;
-use nimblock_core::Testbed;
+use nimblock_core::{Testbed, LIVELOCK_HORIZON};
 use nimblock_fpga::DeviceConfig;
 use nimblock_metrics::{fmt3, harmonic_speedup, Summary, TextTable};
-use nimblock_sim::SimDuration;
 use nimblock_workload::{fixed_batch_sequence, generate, EventSequence};
 
 use crate::args::{
@@ -27,12 +26,7 @@ pub fn make_sequence(args: &StimulusArgs) -> Result<EventSequence, CliError> {
         return load_sequence(path);
     }
     Ok(match args.batch {
-        Some(batch) => fixed_batch_sequence(
-            args.seed,
-            args.events,
-            batch,
-            SimDuration::from_millis(args.delay_ms),
-        ),
+        Some(batch) => fixed_batch_sequence(args.seed, args.events, batch, args.delay),
         None => generate(args.seed, args.events, args.scenario),
     })
 }
@@ -48,14 +42,25 @@ pub fn load_sequence(path: &str) -> Result<EventSequence, CliError> {
     nimblock_ser::from_str(&text).map_err(|e| CliError(format!("cannot parse {path}: {e}")))
 }
 
-/// Rejects a stimulus with a task that fits no slot of `config`. The
-/// hypervisor refuses such an application at admission, aborting the run,
-/// so the check runs when the stimulus is loaded and names the culprit.
+/// Rejects a stimulus the testbed would abort on: a task that fits no slot
+/// of `config` (the hypervisor refuses such an application at admission),
+/// or a last arrival at or past the livelock horizon (the run would panic
+/// there with that application outstanding). The check runs before the
+/// run and names the culprit.
 ///
 /// # Errors
 ///
-/// Returns a [`CliError`] naming the first such application and task.
+/// Returns a [`CliError`] naming the first such application and task, or
+/// the late arrival.
 fn check_placeable(events: &EventSequence, config: &DeviceConfig) -> Result<(), CliError> {
+    if let Some((index, event)) = events.iter().enumerate().next_back() {
+        if event.arrival() >= LIVELOCK_HORIZON {
+            return Err(CliError(format!(
+                "event {index}: arrives at {}, at or past the livelock horizon {LIVELOCK_HORIZON}",
+                event.arrival(),
+            )));
+        }
+    }
     let device = nimblock_fpga::Device::new(config.clone());
     for (index, event) in events.iter().enumerate() {
         for (task, spec) in event.app().graph().tasks() {
@@ -348,7 +353,7 @@ fn front_door_command(
     config.boards = door.boards;
     config.slots_per_board = door.slots;
     config.threads = door.threads;
-    config.shed_horizon = SimDuration::from_millis(door.shed_horizon_ms);
+    config.shed_horizon = door.shed_horizon;
     config.max_items = door.max_items;
 
     let registry = door.metrics_out.as_ref().map(|_| nimblock_obs::Registry::new());
@@ -538,7 +543,11 @@ fn faas_command(args: &FaasArgs, out: &mut dyn Write) -> Result<(), CliError> {
     let gateway = FaasGateway::new(FunctionRegistry::benchmark_suite());
     let workload = InvocationWorkload::new(args.seed)
         .invocations(args.invocations)
-        .mean_gap_millis(args.mean_gap_ms);
+        .mean_gap(args.mean_gap);
+    let events = gateway
+        .stimulus(&workload)
+        .map_err(|e| CliError(format!("cannot build the invocation stimulus: {e}")))?;
+    check_placeable(&events, &DeviceConfig::zcu106())?;
     let summary = gateway.run(&workload, args.scheduler.build());
     writeln!(
         out,

@@ -217,3 +217,77 @@ fn analyze_trace_checks_an_exact_reconfiguration_latency() {
     assert!(stdout.contains("expected 0.081000s"), "{stdout}");
     assert!(String::from_utf8(out.stderr).unwrap().starts_with("error: trace violates"));
 }
+
+/// The largest `u64`: as milliseconds its microseconds overflow, so every
+/// millisecond flag must refuse it instead of wrapping.
+const U64_MAX: &str = "18446744073709551615";
+
+#[test]
+fn run_refuses_a_delay_whose_microseconds_overflow() {
+    assert_clean_error(
+        &["run", "--batch", "2", "--delay-ms", U64_MAX],
+        &["--delay-ms", "too large"],
+    );
+}
+
+#[test]
+fn faas_refuses_a_mean_gap_whose_microseconds_overflow() {
+    assert_clean_error(
+        &["faas", "--mean-gap-ms", U64_MAX, "--invocations", "3"],
+        &["--mean-gap-ms", "too large"],
+    );
+}
+
+#[test]
+fn run_refuses_a_monitor_window_whose_microseconds_overflow() {
+    assert_clean_error(
+        &["run", "--events", "3", "--window-ms", U64_MAX],
+        &["--window-ms", "too large"],
+    );
+}
+
+#[test]
+fn faas_refuses_a_shed_horizon_whose_microseconds_overflow() {
+    assert_clean_error(
+        &["faas", "--arrivals", "steady:1", "--shed-horizon-ms", U64_MAX],
+        &["--shed-horizon-ms", "too large"],
+    );
+}
+
+/// 10¹⁰ ms fits, but puts the second arrival at the livelock horizon
+/// (10⁷ s), where the run would panic with it outstanding. With the
+/// largest delay that fits, the third arrival saturates instead of
+/// wrapping.
+#[test]
+fn run_refuses_an_arrival_at_the_livelock_horizon() {
+    assert_clean_error(
+        &["run", "--batch", "2", "--events", "2", "--delay-ms", "10000000000"],
+        &["event 1", "livelock horizon"],
+    );
+    assert_clean_error(
+        &["run", "--batch", "2", "--events", "3", "--delay-ms", "18446744073709551"],
+        &["event 2", "livelock horizon"],
+    );
+}
+
+#[test]
+fn cluster_refuses_an_arrival_at_the_livelock_horizon() {
+    assert_clean_error(
+        &["cluster", "--batch", "2", "--events", "2", "--delay-ms", "10000000000"],
+        &["event 1", "livelock horizon"],
+    );
+}
+
+/// The gateway's generated stimulus goes through the same check: gaps of
+/// 0.5–1.5 × 10⁷ s put the third invocation past the horizon. With the
+/// largest mean gap that fits, the gap's upper bound and the arrival
+/// times saturate instead of wrapping.
+#[test]
+fn faas_refuses_an_invocation_past_the_livelock_horizon() {
+    for gap in ["10000000000", "18446744073709551"] {
+        assert_clean_error(
+            &["faas", "--mean-gap-ms", gap, "--invocations", "3"],
+            &["livelock horizon"],
+        );
+    }
+}

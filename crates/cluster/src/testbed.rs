@@ -19,7 +19,7 @@
 //! matter how many worker threads run phase 2 — `with_threads(1)` is the
 //! oracle the differential tests compare against.
 
-use nimblock_core::{HvEvent, Hypervisor, Scheduler, Trace};
+use nimblock_core::{HvEvent, Hypervisor, Scheduler, Trace, LIVELOCK_HORIZON};
 use nimblock_fpga::{Device, DeviceConfig};
 use nimblock_metrics::{Report, RunCounters};
 use nimblock_obs::nb_debug;
@@ -137,7 +137,7 @@ where
             dispatch,
             scheduler_factory,
             device_config: DeviceConfig::zcu106(),
-            horizon: SimTime::from_secs(10_000_000),
+            horizon: LIVELOCK_HORIZON,
             threads: 1,
             tracing: false,
             metrics: None,

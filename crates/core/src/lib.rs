@@ -78,6 +78,6 @@ pub use scheduler::{
     DmlStaticScheduler, EdfScheduler, FcfsScheduler, NimblockConfig, NimblockScheduler,
     NoSharingScheduler, PremaScheduler, RoundRobinScheduler, Scheduler, SjfScheduler,
 };
-pub use testbed::Testbed;
+pub use testbed::{Testbed, LIVELOCK_HORIZON};
 pub use trace::{Trace, TraceEvent};
 pub use view::{Reconfig, SchedView, SlotBinding};

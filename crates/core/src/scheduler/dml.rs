@@ -5,8 +5,10 @@
 //! user to statically designate slot counts, and ignores priorities. This
 //! policy reproduces that contrast: it receives the whole stimulus up
 //! front, splits the board's slots among the applications of each arrival
-//! wave with the exact ILP from `nimblock-ilp`, and then holds those
-//! allocations fixed — no tokens, no preemption, no reallocation.
+//! wave with the exact split of `nimblock-ilp`
+//! (`saturation::optimal_slot_split`, a dynamic program that minimizes
+//! the summed estimated makespan), and then holds those allocations fixed
+//! — no tokens, no preemption, no reallocation.
 //!
 //! Comparing it with Nimblock quantifies the paper's argument that dynamic
 //! allocation without user input can match a static optimal split while
@@ -35,8 +37,9 @@ pub struct DmlStaticScheduler {
 impl DmlStaticScheduler {
     /// Plans static allocations for `events` on a `slot_count`-slot device
     /// with `reconfig` latency: each application's makespan-versus-slots
-    /// curve is estimated, and the board is split by the exact ILP among
-    /// the applications of each overlapping arrival window.
+    /// curve is estimated, and the board is split exactly among the
+    /// applications of each overlapping arrival window. A window with more
+    /// applications than slots gives each of them one slot.
     ///
     /// The window heuristic mirrors DML's usage: applications whose
     /// arrivals fall within one estimated makespan of each other are
@@ -60,18 +63,10 @@ impl DmlStaticScheduler {
         let mut window: Vec<usize> = Vec::new();
         let mut window_end = nimblock_sim::SimTime::ZERO;
         let flush = |window: &[usize], planned: &mut Vec<usize>, curves: &[Vec<SimDuration>]| {
-            if window.is_empty() {
-                return;
-            }
             let window_curves: Vec<Vec<SimDuration>> =
                 window.iter().map(|&i| curves[i].clone()).collect();
-            // More co-residents than slots: everyone gets one slot (the ILP
-            // would be infeasible); otherwise split exactly.
-            if window.len() > slot_count {
-                for &i in window {
-                    planned[i] = 1;
-                }
-            } else if let Ok(split) = saturation::optimal_slot_split(&window_curves, slot_count) {
+            // More co-residents than slots: everyone keeps one slot.
+            if let Some(split) = saturation::optimal_slot_split(&window_curves, slot_count) {
                 for (&i, slots) in window.iter().zip(split) {
                     planned[i] = slots;
                 }

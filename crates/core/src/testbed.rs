@@ -36,9 +36,11 @@ pub struct Testbed<S> {
     monitor: Option<nimblock_obs::MonitorHandle>,
 }
 
-/// Default livelock horizon: far beyond any legitimate sequence length
-/// (the longest benchmark runs ~17 minutes per arrival).
-const DEFAULT_HORIZON: SimTime = SimTime::from_secs(10_000_000);
+/// The default livelock horizon of [`Testbed`] and of the cluster testbed:
+/// a run with applications outstanding at this time panics. It lies far
+/// beyond any legitimate sequence length (the longest benchmark runs ~17
+/// minutes per arrival), so a stimulus must arrive before it.
+pub const LIVELOCK_HORIZON: SimTime = SimTime::from_secs(10_000_000);
 
 impl<S: Scheduler> Testbed<S> {
     /// Creates a testbed on the default ZCU106 overlay (ten slots, 80 ms
@@ -47,7 +49,7 @@ impl<S: Scheduler> Testbed<S> {
         Testbed {
             scheduler,
             device_config: DeviceConfig::zcu106(),
-            horizon: DEFAULT_HORIZON,
+            horizon: LIVELOCK_HORIZON,
             per_item_overhead: None,
             interconnect: None,
             scheduling_interval: SimDuration::from_millis(

@@ -54,9 +54,19 @@ impl InvocationWorkload {
     /// # Panics
     ///
     /// Panics if `millis` is zero.
-    pub fn mean_gap_millis(mut self, millis: u64) -> Self {
-        assert!(millis > 0, "mean gap must be positive");
-        self.mean_gap = SimDuration::from_millis(millis);
+    pub fn mean_gap_millis(self, millis: u64) -> Self {
+        self.mean_gap(SimDuration::from_millis(millis))
+    }
+
+    /// Sets the mean inter-arrival gap. Arrival times saturate at
+    /// [`SimTime::MAX`] rather than wrap, however long the gap.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `gap` is zero.
+    pub fn mean_gap(mut self, gap: SimDuration) -> Self {
+        assert!(!gap.is_zero(), "mean gap must be positive");
+        self.mean_gap = gap;
         self
     }
 
@@ -107,8 +117,8 @@ impl InvocationWorkload {
                 at: now,
             });
             let mean = self.mean_gap.as_micros();
-            let gap = rng.gen_range(mean / 2..=mean + mean / 2);
-            now += SimDuration::from_micros(gap);
+            let gap = rng.gen_range(mean / 2..=mean.saturating_add(mean / 2));
+            now = now.saturating_add(SimDuration::from_micros(gap));
         }
         Ok(invocations)
     }

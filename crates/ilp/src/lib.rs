@@ -1,4 +1,4 @@
-//! Integer linear programming and goal-number saturation analysis.
+//! Goal-number saturation analysis and the exact slot split.
 //!
 //! Nimblock's slot-allocation step relies on per-application *goal numbers*:
 //! the number of slots beyond which additional allocation yields little or
@@ -7,13 +7,13 @@
 //! Gurobi is proprietary, so this crate supplies the substitution described
 //! in DESIGN.md §2:
 //!
-//! * [`Problem`] — a small exact ILP solver: dense two-phase primal simplex
-//!   for the LP relaxation plus depth-first branch & bound for integrality,
 //! * [`PipelineEstimator`] — a fast list-scheduled makespan estimator for a
 //!   task graph on `k` slots, modelling serialized reconfiguration and
 //!   cross-batch pipelining (the two effects the DML formulation captures),
 //! * [`saturation`] — the slot-count sweep that turns makespan curves into
-//!   goal numbers.
+//!   goal numbers, and [`saturation::optimal_slot_split`], an exact dynamic
+//!   program that splits a board among applications to minimize their
+//!   summed makespan (the DML-style static planner's allocation).
 //!
 //! As in the paper, this analysis runs off the scheduling critical path:
 //! the hypervisor consumes precomputed goal numbers.
@@ -40,10 +40,7 @@
 #![warn(missing_docs)]
 
 mod estimator;
-mod problem;
 pub mod saturation;
-mod simplex;
 
 pub use estimator::{EstimatorConfig, PipelineEstimator};
-pub use problem::{IlpError, Problem, Relation, Sense, Solution, VarId};
 pub use saturation::SaturationAnalysis;

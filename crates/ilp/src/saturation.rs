@@ -1,10 +1,12 @@
-//! Goal-number saturation analysis (paper §4.2).
+//! Goal-number saturation analysis (paper §4.2) and the exact slot split.
 //!
 //! For every application we sweep the slot count from one to the number of
 //! slots in the system, estimate the makespan at each count, and identify
 //! the *saturation point*: the allocation beyond which additional slots
 //! yield little or no improvement. The Nimblock slot allocator uses the
 //! resulting *goal number* when distributing surplus slots.
+//! [`optimal_slot_split`] turns several such curves into the board split
+//! that minimizes their summed makespan.
 
 use nimblock_ser::impl_json_struct;
 
@@ -12,7 +14,7 @@ use nimblock_app::{AppSpec, TaskGraph};
 use nimblock_sim::SimDuration;
 
 use crate::estimator::Workspace;
-use crate::{EstimatorConfig, IlpError, PipelineEstimator, Problem, Relation, Sense};
+use crate::{EstimatorConfig, PipelineEstimator};
 
 /// Fractional improvement below which an additional slot is considered
 /// marginal (the knee-detection threshold of the sweep).
@@ -184,61 +186,76 @@ fn knee(max_slots: usize, threshold: f64, mut makespan: impl FnMut(usize) -> Sim
 }
 
 /// Splits `total_slots` among applications to minimize the sum of their
-/// estimated makespans, using the exact ILP solver.
+/// estimated makespans, exactly.
 ///
 /// Each entry of `curves` is one application's makespan-versus-slot-count
 /// curve (index 0 = one slot). Every application receives at least one
-/// slot. This is the reproduction's analogue of solving the DML allocation
-/// problem exactly; `nimblock-core`'s allocator uses the cheaper rule-based
-/// method, and the ablation benches compare the two.
+/// slot and at most its curve's length, and the counts fit the board. This
+/// is the reproduction's analogue of solving the DML allocation problem
+/// exactly; `nimblock-core`'s allocator uses the cheaper rule-based method.
 ///
-/// # Errors
+/// The problem is a multiple-choice knapsack, solved by dynamic
+/// programming over (application, slots left) on makespans in integer
+/// microseconds, in O(apps × slots²) time. Ties go to the
+/// lexicographically smallest split: each application, in order, takes the
+/// fewest slots that still leave the optimal total reachable.
 ///
-/// Returns [`IlpError::Infeasible`] when `total_slots < curves.len()`
-/// (cannot give everyone a slot), or any solver error.
+/// Returns `None` when `total_slots < curves.len()` (cannot give everyone
+/// a slot).
 ///
 /// # Panics
 ///
-/// Panics if `curves` is empty or any curve is empty.
-pub fn optimal_slot_split(
-    curves: &[Vec<SimDuration>],
-    total_slots: usize,
-) -> Result<Vec<usize>, IlpError> {
-    assert!(!curves.is_empty(), "need at least one application");
-    let mut problem = Problem::new(Sense::Minimize);
-    // x[a][k] = 1 iff app `a` gets k+1 slots.
-    let mut vars = Vec::with_capacity(curves.len());
-    for curve in curves {
+/// Panics if any curve is empty.
+///
+/// # Example
+///
+/// ```
+/// use nimblock_ilp::saturation;
+/// use nimblock_sim::SimDuration;
+///
+/// let halves = vec![SimDuration::from_secs(10), SimDuration::from_secs(5)];
+/// let flat = vec![SimDuration::from_secs(10), SimDuration::from_secs(10)];
+/// assert_eq!(saturation::optimal_slot_split(&[halves, flat], 3), Some(vec![2, 1]));
+/// ```
+pub fn optimal_slot_split(curves: &[Vec<SimDuration>], total_slots: usize) -> Option<Vec<usize>> {
+    if total_slots < curves.len() {
+        return None;
+    }
+    // least[a][s]: the least summed makespan of applications `a..` on at
+    // most `s` slots, `None` when `s` is fewer than them.
+    let mut least = vec![vec![Some(0u128); total_slots + 1]];
+    for curve in curves.iter().rev() {
         assert!(!curve.is_empty(), "each curve needs at least one entry");
-        let choice_vars: Vec<_> = curve
-            .iter()
-            .map(|makespan| problem.add_integer_var(0.0, 1.0, makespan.as_secs_f64()))
+        let rest = least.last().expect("the table starts with a row");
+        let row = (0..=total_slots)
+            .map(|s| {
+                (1..=curve.len().min(s))
+                    .filter_map(|k| total(curve, k, rest[s - k]))
+                    .min()
+            })
             .collect();
-        // Exactly one slot count per application.
-        let terms: Vec<_> = choice_vars.iter().map(|&v| (v, 1.0)).collect();
-        problem.add_constraint(&terms, Relation::Eq, 1.0);
-        vars.push(choice_vars);
+        least.push(row);
     }
-    // Total slots bounded.
-    let mut slot_terms = Vec::new();
-    for choice_vars in &vars {
-        for (k, &v) in choice_vars.iter().enumerate() {
-            slot_terms.push((v, (k + 1) as f64));
-        }
-    }
-    problem.add_constraint(&slot_terms, Relation::LessEq, total_slots as f64);
-
-    let solution = problem.solve()?;
-    Ok(vars
+    least.reverse();
+    let mut left = total_slots;
+    let split = curves
         .iter()
-        .map(|choice_vars| {
-            choice_vars
-                .iter()
-                .position(|&v| solution.value(v) > 0.5)
-                .map(|k| k + 1)
-                .expect("exactly-one constraint guarantees a selected slot count")
+        .zip(least.windows(2))
+        .map(|(curve, rows)| {
+            let k = (1..=curve.len().min(left))
+                .find(|&k| total(curve, k, rows[1][left - k]) == rows[0][left])
+                .expect("a feasible row has an optimal choice");
+            left -= k;
+            k
         })
-        .collect())
+        .collect();
+    Some(split)
+}
+
+/// The summed makespan of giving the application of `curve` `k` slots and
+/// the rest of the applications `rest`.
+fn total(curve: &[SimDuration], k: usize, rest: Option<u128>) -> Option<u128> {
+    Some(u128::from(curve[k - 1].as_micros()) + rest?)
 }
 
 #[cfg(test)]
@@ -338,26 +355,35 @@ mod tests {
             vec![SimDuration::from_secs(10), SimDuration::from_secs(5)],
             vec![SimDuration::from_secs(10), SimDuration::from_secs(10)],
         ];
-        let split = optimal_slot_split(&curves, 3).unwrap();
-        assert_eq!(split, vec![2, 1]);
+        assert_eq!(optimal_slot_split(&curves, 3), Some(vec![2, 1]));
     }
 
     #[test]
     fn optimal_slot_split_requires_a_slot_per_app() {
         let curves = vec![vec![SimDuration::from_secs(1)], vec![SimDuration::from_secs(1)]];
-        assert!(optimal_slot_split(&curves, 1).is_err());
+        assert_eq!(optimal_slot_split(&curves, 1), None);
+    }
+
+    #[test]
+    fn optimal_slot_split_ties_go_to_the_lexicographically_smallest_split() {
+        // Two identical apps and one spare slot: [1, 2] and [2, 1] both
+        // total 15 s, and the earlier app takes the fewest slots.
+        let curve = vec![SimDuration::from_secs(10), SimDuration::from_secs(5)];
+        assert_eq!(optimal_slot_split(&vec![curve; 2], 3), Some(vec![1, 2]));
+        // A flat tail is not taken: two slots reach the third's makespan.
+        let flat_tail = [10, 5, 5].map(SimDuration::from_secs).to_vec();
+        assert_eq!(optimal_slot_split(&[flat_tail], 3), Some(vec![2]));
     }
 
     #[test]
     fn optimal_slot_split_matches_rule_based_on_uniform_curves() {
-        // Three identical apps, 6 slots: the ILP should give 2 each.
+        // Three identical apps, 6 slots: the exact split gives 2 each.
         let curve = vec![
             SimDuration::from_secs(9),
             SimDuration::from_secs(5),
             SimDuration::from_secs(4),
         ];
-        let split = optimal_slot_split(&vec![curve; 3], 6).unwrap();
-        assert_eq!(split, vec![2, 2, 2]);
+        assert_eq!(optimal_slot_split(&vec![curve; 3], 6), Some(vec![2, 2, 2]));
     }
 
     #[test]

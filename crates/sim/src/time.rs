@@ -87,6 +87,12 @@ impl SimTime {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
 
+    /// Returns the timestamp `span` after `self`, saturating at
+    /// [`SimTime::MAX`].
+    pub const fn saturating_add(self, span: SimDuration) -> SimTime {
+        SimTime(self.0.saturating_add(span.0))
+    }
+
     /// Returns the span from the epoch to `self`.
     pub const fn elapsed(self) -> SimDuration {
         SimDuration(self.0)

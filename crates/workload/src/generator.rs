@@ -118,7 +118,7 @@ pub fn fixed_batch_sequence(
         let app = Arc::clone(&pool[rng.gen_range(0..pool.len())]);
         let priority = Priority::ALL[rng.gen_range(0..Priority::ALL.len())];
         events.push(ArrivalEvent::new(app, batch_size, priority, now));
-        now += delay;
+        now = now.saturating_add(delay);
     }
     EventSequence::new(events)
 }

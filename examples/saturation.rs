@@ -1,10 +1,11 @@
-//! Goal-number saturation analysis, and the exact ILP slot split.
+//! Goal-number saturation analysis, and the exact slot split.
 //!
 //! Nimblock's allocator needs to know how many slots each application can
 //! actually use (its *goal number*). This example sweeps the slot count for
 //! every benchmark with the pipelined makespan estimator, prints the
 //! saturation curves, and cross-checks the rule-based goal numbers against
-//! an exact ILP split of the board.
+//! the exact split of the board: the optimum of DML's allocation ILP,
+//! found by dynamic programming over (application, slots used).
 //!
 //! ```sh
 //! cargo run --release --example saturation
@@ -42,9 +43,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("Makespan (s) of each benchmark at batch {BATCH} versus slot count:\n");
     print!("{table}");
 
-    // Exact ILP: split the ten slots among the six benchmarks to minimize
-    // the sum of their makespans (everyone gets at least one slot).
-    let split = saturation::optimal_slot_split(&curves, SLOTS)?;
+    // Exact split: the ten slots among the six benchmarks, minimizing the
+    // sum of their makespans (everyone gets at least one slot).
+    let split = saturation::optimal_slot_split(&curves, SLOTS)
+        .ok_or("fewer slots than benchmarks")?;
     println!("\nExact ILP split of {SLOTS} slots (minimizing total makespan):");
     for (app, slots) in benchmarks::all().iter().zip(&split) {
         println!("  {:18} -> {slots} slot(s)", app.name());

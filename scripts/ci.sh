@@ -10,7 +10,10 @@
 #
 #   lint            in-repo static analyzer (`nimblock-cli analyze lint`):
 #                   workspace-path-only deps, source hygiene (DESIGN.md §11)
-#   build           tier-1: cargo build --release --offline
+#   build           tier-1: cargo build --release --offline, then
+#                   cargo bench -p nimblock-bench --no-run --offline, so the
+#                   micro-bench targets (crates/bench/benches/*.rs), which
+#                   no other stage compiles, still build
 #   test            tier-1: cargo test -q --offline (root package)
 #   workspace-test  cargo test -q --offline --workspace
 #   deep            whole-workspace semantic analysis (`nimblock-cli analyze
@@ -112,6 +115,7 @@ stage_deep() {
 
 stage_build() {
     cargo build --release --offline
+    cargo bench -p nimblock-bench --no-run --offline
 }
 
 stage_test() {

@@ -7,7 +7,7 @@
 //! * [`sim`] — deterministic discrete-event simulation engine,
 //! * [`fpga`] — slot-based FPGA overlay device model (ZCU106 defaults),
 //! * [`app`] — task graphs, applications, and the six-benchmark suite,
-//! * [`ilp`] — ILP solver and goal-number saturation analysis,
+//! * [`ilp`] — makespan estimator, saturation analysis, exact slot split,
 //! * [`core`] — the hypervisor runtime, the `Scheduler` trait, and the five
 //!   scheduling policies the paper evaluates,
 //! * [`cluster`] — multi-FPGA scale-out: dispatch policies over per-board

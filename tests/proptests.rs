@@ -5,7 +5,7 @@
 use nimblock_check::{check, prop_assert, prop_assert_eq, Gen};
 
 use nimblock::app::{benchmarks, AppSpec, Priority, TaskGraph, TaskGraphBuilder, TaskId, TaskSpec};
-use nimblock::ilp::{EstimatorConfig, PipelineEstimator};
+use nimblock::ilp::{saturation, EstimatorConfig, PipelineEstimator};
 use nimblock::sim::{EventQueue, SimDuration, SimTime};
 use nimblock::workload::{ArrivalEvent, EventSequence};
 
@@ -222,47 +222,55 @@ fn single_slot_latency_matches_the_per_task_formula() {
     });
 }
 
-// The ILP solver agrees with brute force on random 0/1 knapsacks.
+/// Visits every split of at most `slots_left` slots that gives each
+/// application of `curves` one to `curve.len()` slots, in lexicographic
+/// order.
+fn every_split(
+    curves: &[Vec<SimDuration>],
+    slots_left: usize,
+    prefix: &mut Vec<usize>,
+    visit: &mut dyn FnMut(&[usize]),
+) {
+    let Some((curve, rest)) = curves.split_first() else {
+        return visit(prefix);
+    };
+    for k in 1..=curve.len().min(slots_left) {
+        prefix.push(k);
+        every_split(rest, slots_left - k, prefix, visit);
+        prefix.pop();
+    }
+}
+
+// The exact slot split agrees with brute-force enumeration of every split:
+// the same least summed makespan, and among tied splits the
+// lexicographically smallest; `None` exactly when the apps outnumber the
+// slots.
 #[test]
-fn ilp_matches_bruteforce_knapsack() {
-    check("ilp_matches_bruteforce_knapsack", |g| {
-        use nimblock::ilp::{Problem, Relation, Sense};
+fn slot_split_matches_bruteforce_enumeration() {
+    check("slot_split_matches_bruteforce_enumeration", |g| {
+        // Non-increasing curves from a narrow range, so ties are common.
+        let curves: Vec<Vec<SimDuration>> = g.vec(1..=6, |g| {
+            let mut curve = g.vec(1..=10, |g| g.u64(1..=6));
+            curve.sort_unstable_by(|a, b| b.cmp(a));
+            curve.into_iter().map(SimDuration::from_micros).collect()
+        });
+        let total_slots = g.usize(0..=10);
+        let summed = |split: &[usize]| -> u64 {
+            split.iter().zip(&curves).map(|(&k, curve)| curve[k - 1].as_micros()).sum()
+        };
 
-        let items = g.vec(1..=9, |g| (g.u32(1..=39), g.u32(1..=99)));
-        let capacity = g.u32(10..=119);
-
-        let mut problem = Problem::new(Sense::Maximize);
-        let vars: Vec<_> = items
-            .iter()
-            .map(|&(_, value)| problem.add_integer_var(0.0, 1.0, f64::from(value)))
-            .collect();
-        let weights: Vec<_> = vars
-            .iter()
-            .zip(&items)
-            .map(|(&v, &(w, _))| (v, f64::from(w)))
-            .collect();
-        problem.add_constraint(&weights, Relation::LessEq, f64::from(capacity));
-        let solution = problem.solve().expect("knapsack is feasible (empty set)");
-
-        // Brute force over all subsets.
-        let mut best = 0u32;
-        for mask in 0u32..(1 << items.len()) {
-            let (mut weight, mut value) = (0u32, 0u32);
-            for (i, &(w, v)) in items.iter().enumerate() {
-                if mask & (1 << i) != 0 {
-                    weight += w;
-                    value += v;
-                }
+        let mut best: Option<(u64, Vec<usize>)> = None;
+        every_split(&curves, total_slots, &mut Vec::new(), &mut |split| {
+            let total = summed(split);
+            if best.as_ref().is_none_or(|(least, _)| total < *least) {
+                best = Some((total, split.to_vec()));
             }
-            if weight <= capacity {
-                best = best.max(value);
-            }
-        }
-        prop_assert!(
-            (solution.objective() - f64::from(best)).abs() < 1e-6,
-            "ILP {} vs brute force {best}",
-            solution.objective()
-        );
+        });
+
+        let split = saturation::optimal_slot_split(&curves, total_slots);
+        prop_assert_eq!(split.is_none(), total_slots < curves.len());
+        prop_assert_eq!(split.as_deref().map(summed), best.as_ref().map(|(least, _)| *least));
+        prop_assert_eq!(split, best.map(|(_, split)| split));
         Ok(())
     });
 }
